@@ -3,6 +3,9 @@
 Provides the extended Kronecker symbol, the Gauss-sign unit attached to
 odd integers, and Dirichlet characters stored as explicit value tables,
 together with CRT factorization of a character over coprime moduli.
+The symbol and the unit/inverse tables also come as whole-array numpy
+routes (`kronecker_array`, `unit_table`) for building sum tables; the
+scalar routines stay for pointwise callers and as the tests' reference.
 
 All objects are immutable after construction and every function is pure,
 so everything here is safe for unrestricted concurrent use.
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def kronecker(a: int, n: int) -> int:
@@ -51,6 +56,96 @@ def kronecker(a: int, n: int) -> int:
             k = -k
         a, n = n % a, a
     return k if n == 1 else 0
+
+
+def kronecker_array(a, n) -> np.ndarray:
+    """Elementwise Kronecker symbol (a/n), equal to `kronecker` at every pair.
+
+    One argument is a Python int and the other an integer array.  The
+    fixed argument is factored once: each odd prime p of it contributes a
+    Legendre table (the squares mod p), indexed by the array argument mod
+    p, either directly (fixed n) or through quadratic reciprocity (fixed
+    a); the 2-part and the sign follow the extended definition.
+    """
+    if np.ndim(a) == 0:
+        return _kronecker_fixed_top(int(a), np.asarray(n, dtype=np.int64))
+    return _kronecker_fixed_bottom(np.asarray(a, dtype=np.int64), int(n))
+
+
+def _kronecker_fixed_bottom(a: np.ndarray, n: int) -> np.ndarray:
+    if n == 0:
+        return (np.abs(a) == 1).astype(np.int64)
+    out = np.where((n < 0) & (a < 0), -1, 1)
+    n = abs(n)
+    v = (n & -n).bit_length() - 1
+    if v > 0:
+        out[a % 2 == 0] = 0
+        if v % 2 == 1:
+            out[(a % 8 == 3) | (a % 8 == 5)] *= -1
+    for p, e in factorize(n >> v):
+        out *= _legendre(a % p, p) ** e
+    return out
+
+
+def _kronecker_fixed_top(a: int, n: np.ndarray) -> np.ndarray:
+    out = np.where((n < 0) & (a < 0), -1, 1)
+    n = np.abs(n)
+    low = n & -n
+    m = np.where(n > 0, n // np.maximum(low, 1), 1)   # odd part (1 at n = 0)
+    # (a/2)^v: zero for even a; -1 for a = 3, 5 mod 8 when v is odd
+    odd_v = (low & 0x2AAAAAAAAAAAAAAA) != 0
+    if a % 2 == 0:
+        out[low > 1] = 0
+    elif a % 8 in (3, 5):
+        out[odd_v] *= -1
+    # Jacobi (a/m) on the odd part m
+    if a == 0:
+        out[m != 1] = 0
+    else:
+        w = (abs(a) & -abs(a)).bit_length() - 1
+        odd = abs(a) >> w
+        if a < 0:
+            out[m % 4 == 3] *= -1
+        if w % 2 == 1:
+            out[(m % 8 == 3) | (m % 8 == 5)] *= -1
+        if odd % 4 == 3:
+            out[m % 4 == 3] *= -1
+        for p, e in factorize(odd):
+            out *= _legendre(m % p, p) ** e
+    out[n == 0] = 1 if a in (1, -1) else 0
+    return out
+
+
+def _legendre(r: np.ndarray, p: int) -> np.ndarray:
+    """(r/p) for residues 0 <= r < p at an odd prime p."""
+    if p > max(1 << 16, r.size):
+        # Euler's criterion on Python ints: no table larger than the input
+        return np.array([1 if pow(int(x), (p - 1) // 2, p) == 1 else -1 if x else 0
+                         for x in r], dtype=np.int64)
+    table = np.full(p, -1, dtype=np.int64)
+    table[0] = 0
+    k = np.arange(1, (p + 1) // 2)
+    table[k * k % p] = 1
+    return table[r]
+
+
+def unit_table(c: int):
+    """Units d mod c in increasing order with their inverses, as int64 arrays.
+
+    The inverse of d is d^(phi(c)-1) mod c (Euler), by square-and-multiply
+    over the whole array; exact while (c-1)^2 fits in int64.  At c = 1 the
+    single residue 0 is returned, with inverse 0.
+    """
+    units = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+    e = len(units) - 1
+    invs = np.full(len(units), 1 % c, dtype=np.int64)
+    b = units % c
+    while e:
+        if e & 1:
+            invs = invs * b % c
+        b = b * b % c
+        e >>= 1
+    return units, invs
 
 
 def epsilon_d(d: int) -> complex:
@@ -101,6 +196,10 @@ class DirichletCharacter:
     def __call__(self, d: int) -> complex:
         return self.values[d % self.modulus]
 
+    def array(self) -> np.ndarray:
+        """The value table as a complex128 array."""
+        return np.array(self.values, dtype=np.complex128)
+
     def conj(self, d: int) -> complex:
         v = self.values[d % self.modulus]
         return v.conjugate() if isinstance(v, complex) else v
@@ -117,23 +216,26 @@ class DirichletCharacter:
         unit pair, which the property tests use at small moduli.
         """
         n = self.modulus
-        vals = self.values
+        vals = self.array()
         if vals[1 % n] != 1:
             raise ValueError("character must take value 1 at d = 1")
-        for d in range(n):
-            coprime = math.gcd(d, n) == 1
-            if coprime and abs(abs(complex(vals[d])) - 1.0) > 1e-12:
+        coprime = np.gcd(np.arange(n), n) == 1
+        non_unit = coprime & (np.abs(np.abs(vals) - 1.0) > 1e-12)
+        stray = ~coprime & (vals != 0)
+        bad = non_unit | stray
+        if bad.any():
+            d = int(np.argmax(bad))
+            if non_unit[d]:
                 raise ValueError(f"non-unit value at coprime residue {d}")
-            if not coprime and vals[d] != 0:
-                raise ValueError(f"nonzero value at non-coprime residue {d}")
-        units = [d for d in range(n) if math.gcd(d, n) == 1]
+            raise ValueError(f"nonzero value at non-coprime residue {d}")
+        units = np.flatnonzero(coprime)
         if not exhaustive and len(units) > 32:
             step = max(1, len(units) // 32)
             units = units[::step]
         for d in units:
-            for e in units:
-                if abs(complex(vals[d * e % n]) - complex(vals[d]) * complex(vals[e])) > 1e-9:
-                    raise ValueError(f"multiplicativity fails at ({d},{e})")
+            broken = np.abs(vals[d * units % n] - vals[d] * vals[units]) > 1e-9
+            if broken.any():
+                raise ValueError(f"multiplicativity fails at ({d},{units[np.argmax(broken)]})")
 
 
 def _conductor(n: int, values) -> int:
@@ -174,13 +276,12 @@ def char_from_kronecker(D: int, N: int) -> DirichletCharacter:
     """
     if N <= 0:
         raise ValueError("modulus must be positive")
-    vals = []
-    for d in range(N):
-        vals.append(kronecker(D, d) if math.gcd(d, N) == 1 else 0)
-    for d in range(N, 2 * N):
-        if math.gcd(d, N) == 1 and kronecker(D, d) != vals[d - N]:
-            raise ValueError(f"(D/.) with D={D} is not periodic mod {N}")
-    chi = DirichletCharacter(modulus=N, values=tuple(vals), label=f"({D}/.) mod {N}")
+    d = np.arange(2 * N)
+    vals = np.where(np.gcd(d, N) == 1, kronecker_array(D, d), 0)
+    if np.any(vals[N:] != vals[:N]):
+        raise ValueError(f"(D/.) with D={D} is not periodic mod {N}")
+    chi = DirichletCharacter(modulus=N, values=tuple(vals[:N].tolist()),
+                             label=f"({D}/.) mod {N}")
     chi.validate()
     return chi
 
@@ -208,12 +309,12 @@ def char_factor(chi: DirichletCharacter, r: int, s: int):
         # chi_f(d) = chi(d') with d' = d mod nf, d' = 1 mod ng
         if nf == 1:
             return trivial_character(1)
+        _, inv_ng, _ = _ext_gcd(ng, nf)
         vals = []
         for d in range(nf):
             if math.gcd(d, nf) != 1:
                 vals.append(0)
                 continue
-            g, inv_ng, _ = _ext_gcd(ng, nf)
             # d' = 1 + ng * k with ng*k = d-1 mod nf
             k = ((d - 1) * inv_ng) % nf
             dp = (1 + ng * k) % N if N > 1 else 0

@@ -21,12 +21,14 @@ from .arith import (
     DirichletCharacter,
     char_factor,
     divisor_count,
-    epsilon_d,
     factorize,
     inverse_mod,
-    kronecker,
+    kronecker_array,
     trivial_character,
+    unit_table,
 )
+
+_I_POW = (1, 1j, -1, -1j)
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,25 @@ class ExpSumResult:
         return abs(self.value) / self.bound if self.bound > 0 else math.inf
 
 
-def _unit_tables(c: int):
-    """Units d mod c with their inverses a (a*d = 1 mod c)."""
-    if c == 1:
-        return np.array([0]), np.array([0])
-    units = np.array([d for d in range(1, c) if math.gcd(d, c) == 1], dtype=np.int64)
-    invs = np.array([inverse_mod(int(d), c) for d in units], dtype=np.int64)
-    return units, invs
+def _sum_table(c: int, chi: DirichletCharacter, ell: int | None = None):
+    """Units d mod c, their inverses a (a*d = 1 mod c) and the summand weights.
+
+    With ell=None the weights are the Salie twist conj(chi(d)) (d/c); with
+    an odd ell they are the Kloosterman twist eps_d^ell conj(chi(d)) (c/d).
+    Every factor but chi is an exact integer or a power of i, so the
+    weights do not depend on how the tables are built.
+    """
+    units, invs = unit_table(c)
+    chiv = np.conjugate(chi.array()[units % chi.modulus])
+    if ell is None:
+        return units, invs, chiv * kronecker_array(units, c)
+    # eps_d^ell depends on d mod 4 and ell mod 4 only
+    eps = np.where(units % 4 == 1, _I_POW[0], _I_POW[ell % 4])
+    return units, invs, eps * chiv * kronecker_array(c, units)
+
+
+def _roots(c: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(c) / c)
 
 
 def _check_kloosterman_domain(c: int, ell: int, chi: DirichletCharacter) -> None:
@@ -72,15 +86,8 @@ def weil_bound(m: int, n: int, c: int, chi: DirichletCharacter) -> float:
 def kloosterman_naive(m: int, n: int, c: int, ell: int, chi: DirichletCharacter) -> ExpSumResult:
     """Direct summation of the eps_d^ell (c/d) twisted Kloosterman sum."""
     _check_kloosterman_domain(c, ell, chi)
-    units, invs = _unit_tables(c)
-    roots = np.exp(2j * np.pi * np.arange(c) / c)
-    # eps_d^ell depends on d mod 4 and ell mod 4 only
-    i_pow = [1, 1j, -1, -1j]
-    eps = np.array([i_pow[0] if d % 4 == 1 else i_pow[ell % 4] for d in units])
-    kron = np.array([kronecker(c, int(d)) for d in units], dtype=np.float64)
-    chiv = np.conjugate(np.array([complex(chi(int(d))) for d in units]))
-    w = eps * chiv * kron
-    val = complex(np.sum(w * roots[(m * invs + n * units) % c]))
+    units, invs, w = _sum_table(c, chi, ell)
+    val = complex(np.sum(w * _roots(c)[(m * invs + n * units) % c]))
     return ExpSumResult(val, m, n, c, ell, chi, weil_bound(m, n, c, chi))
 
 
@@ -113,12 +120,8 @@ def salie_naive(m: int, n: int, c: int, chi: DirichletCharacter) -> ExpSumResult
         raise ValueError(f"Salie sums need v2(c) != 1, got c={c}")
     if c == 1:
         return ExpSumResult(1.0 + 0j, m, n, 1, None, chi, 1.0)
-    units, invs = _unit_tables(c)
-    roots = np.exp(2j * np.pi * np.arange(c) / c)
-    kron = np.array([kronecker(int(d), c) for d in units], dtype=np.float64)
-    chiv = np.conjugate(np.array([complex(chi(int(d))) for d in units]))
-    w = chiv * kron
-    val = complex(np.sum(w * roots[(m * invs + n * units) % c]))
+    units, invs, w = _sum_table(c, chi)
+    val = complex(np.sum(w * _roots(c)[(m * invs + n * units) % c]))
     return ExpSumResult(val, m, n, c, None, chi, salie_bound(m, n, c, chi))
 
 
@@ -173,13 +176,8 @@ def kloosterman_grid(c: int, ell: int, chi: DirichletCharacter) -> np.ndarray:
     exhaustive bound sweeps.
     """
     _check_kloosterman_domain(c, ell, chi)
-    units, invs = _unit_tables(c)
-    roots = np.exp(2j * np.pi * np.arange(c) / c)
-    i_pow = [1, 1j, -1, -1j]
-    eps = np.array([i_pow[0] if d % 4 == 1 else i_pow[ell % 4] for d in units])
-    kron = np.array([kronecker(c, int(d)) for d in units], dtype=np.float64)
-    chiv = np.conjugate(np.array([complex(chi(int(d))) for d in units]))
-    w = eps * chiv * kron
+    units, invs, w = _sum_table(c, chi, ell)
+    roots = _roots(c)
     ms = np.arange(c)
     E_a = roots[(ms[:, None] * invs[None, :]) % c]      # (c, phi)
     E_d = roots[(units[:, None] * ms[None, :]) % c]     # (phi, c)
@@ -191,13 +189,9 @@ def salie_values(c: int, chi: DirichletCharacter, pairs: np.ndarray) -> np.ndarr
     N = chi.modulus
     if c % N != 0 or ((c & -c).bit_length() - 1) == 1:
         raise ValueError("inadmissible Salie modulus")
-    units, invs = _unit_tables(c)
-    roots = np.exp(2j * np.pi * np.arange(c) / c)
-    kron = np.array([kronecker(int(d), c) for d in units], dtype=np.float64)
-    chiv = np.conjugate(np.array([complex(chi(int(d))) for d in units]))
-    w = chiv * kron
+    units, invs, w = _sum_table(c, chi)
     idx = (pairs[:, 0:1] * invs[None, :] + pairs[:, 1:2] * units[None, :]) % c
-    return roots[idx] @ w
+    return _roots(c)[idx] @ w
 
 
 def weil_ratio_grid(c: int, ell: int, chi: DirichletCharacter) -> float:

@@ -2,14 +2,11 @@
 
 Identical configs must produce bit-identical CSV artifacts: randomness
 flows only through per-item generators derived from (seed, item index),
-so serial and thread-pooled runs agree, and output rows are canonically
-ordered before writing.
+and output rows are canonically ordered before writing.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,22 +50,3 @@ class ExperimentConfig:
 def item_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for one work item; independent of execution order."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
-def thread_count() -> int:
-    raw = os.environ.get("THETA_SHIFT_THREADS", "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def ordered_map(fn, items):
-    """Map preserving order; thread pool when THETA_SHIFT_THREADS > 1."""
-    n = thread_count()
-    items = list(items)
-    if n <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..arith import char_from_kronecker, trivial_character
 from ..expsums import (
+    _phi,
     kloosterman_factored,
     kloosterman_naive,
     random_admissible_tuple,
@@ -39,21 +40,7 @@ from ..specfun.whittaker import (
     whittaker_norm_closed_form,
     whittaker_uniform_ratio_grid,
 )
-from .config import item_rng, ordered_map
-
-
-def _phi(c: int) -> int:
-    out, n = c, c
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
-    return out
+from .config import item_rng
 
 
 def default_characters():
@@ -79,7 +66,7 @@ def verify_mult_suite(seed: int = 7, trials: int = 200, max_c: int = 10_000):
                 dev, dev / (1e-8 * _phi(c)))
 
     t0 = time.time()
-    rows = ordered_map(one, range(trials))
+    rows = [one(i) for i in range(trials)]
     elapsed = time.time() - t0
     worst = max(r[8] for r in rows)
     ok = worst <= 1.0
@@ -112,7 +99,7 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
         res = kloosterman_naive(m, n, c, ell, chi)
         return ("random", c, ell, chi.label, abs(res.value) / res.bound)
 
-    rnd = ordered_map(one, range(trials))
+    rnd = [one(i) for i in range(trials)]
     rows.extend(rnd)
     worst_rnd = max(r[4] for r in rnd)
     elapsed = time.time() - t0
@@ -355,7 +342,7 @@ def theta_suite(seed: int = 5, trials: int = 100, z: complex = 0.3 + 1.1j,
         return (*g, theta_transform_residual(g, z))
 
     t0 = time.time()
-    rows = ordered_map(one, range(trials))
+    rows = [one(i) for i in range(trials)]
     worst = max(r[4] for r in rows)
     ok = worst <= tol
     lines = [

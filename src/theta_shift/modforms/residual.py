@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..arith import char_from_kronecker
+from ..arith import DirichletCharacter, char_from_kronecker, kronecker_array
 from ..quadrature import DEFAULT_SPEC, QuadratureSpec
 from .forms import CuspForm, r1
 
@@ -56,12 +56,10 @@ def residual_conditions(f: CuspForm) -> list:
 
 def char_from_kronecker_swapped(n4: int, N: int):
     """The character d -> (d / n4), i.e. Kronecker with varying numerator."""
-    from ..arith import DirichletCharacter, kronecker
-
-    vals = tuple(
-        kronecker(d, n4) if math.gcd(d, N) == 1 else 0 for d in range(N)
-    )
-    chi = DirichletCharacter(modulus=N, values=vals, label=f"(./{n4}) mod {N}")
+    d = np.arange(N)
+    vals = np.where(np.gcd(d, N) == 1, kronecker_array(d, n4), 0)
+    chi = DirichletCharacter(modulus=N, values=tuple(vals.tolist()),
+                             label=f"(./{n4}) mod {N}")
     chi.validate()
     return chi
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_shift.arith import (
+    DirichletCharacter,
     char_factor,
     char_from_kronecker,
     char_from_table,
@@ -14,8 +16,10 @@ from theta_shift.arith import (
     epsilon_d,
     inverse_mod,
     kronecker,
+    kronecker_array,
     serialize_character,
     trivial_character,
+    unit_table,
 )
 
 
@@ -174,6 +178,97 @@ class TestCharFactor:
         for d in range(N):
             if math.gcd(d, N) == 1:
                 assert abs(complex(chi(d)) - complex(a(d)) * complex(b(d))) < 1e-12
+
+
+def _scalar_char_from_kronecker(D, N):
+    """Reference route: char_from_kronecker by one scalar symbol per residue."""
+    vals = [kronecker(D, d) if math.gcd(d, N) == 1 else 0 for d in range(N)]
+    for d in range(N, 2 * N):
+        if math.gcd(d, N) == 1 and kronecker(D, d) != vals[d - N]:
+            raise ValueError(f"(D/.) with D={D} is not periodic mod {N}")
+    chi = DirichletCharacter(modulus=N, values=tuple(vals), label=f"({D}/.) mod {N}")
+    chi.validate()
+    return chi
+
+
+class TestVectorRoutes:
+    """The whole-array symbol, inverses and character tables against the
+    scalar `kronecker` and `inverse_mod`."""
+
+    def test_symbol_on_small_square(self):
+        xs = np.arange(-300, 301)
+        ref = np.array([[kronecker(a, n) for n in range(-300, 301)] for a in range(-300, 301)])
+        for i, x in enumerate(range(-300, 301)):
+            assert np.array_equal(kronecker_array(x, xs), ref[i, :])
+            assert np.array_equal(kronecker_array(xs, x), ref[:, i])
+
+    @pytest.mark.parametrize("c", [4096, 2401, 9999, 10_000])
+    def test_symbol_over_a_full_period(self, c):
+        # (c/.) has period dividing 4c, (./c) period c
+        d = np.arange(-4 * c, 4 * c)
+        assert np.array_equal(kronecker_array(c, d), [kronecker(c, int(x)) for x in d])
+        d = np.arange(-c, c)
+        assert np.array_equal(kronecker_array(d, c), [kronecker(int(x), c) for x in d])
+
+    def test_symbol_at_a_large_prime(self):
+        # primes above the Legendre-table size go through Euler's criterion
+        p = 1_000_003
+        d = np.arange(-2000, 2000)
+        for a in (p, -p, 4 * p, 3 * p):
+            assert np.array_equal(kronecker_array(a, d), [kronecker(a, int(x)) for x in d])
+            assert np.array_equal(kronecker_array(d, a), [kronecker(int(x), a) for x in d])
+
+    @pytest.mark.parametrize("c", [1, 2, 5, 12, 4096, 4999, 9996, 10_000])
+    def test_inverses(self, c):
+        units, invs = unit_table(c)
+        if c == 1:
+            assert units.tolist() == [0] and invs.tolist() == [0]
+            return
+        assert units.tolist() == [d for d in range(c) if math.gcd(d, c) == 1]
+        assert invs.tolist() == [inverse_mod(int(d), c) for d in units]
+
+    def test_char_from_kronecker_matches_scalar_route(self):
+        accepted = 0
+        for D in range(-60, 61):
+            for N in range(1, 130):
+                try:
+                    ref = _scalar_char_from_kronecker(D, N)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        char_from_kronecker(D, N)
+                    continue
+                chi = char_from_kronecker(D, N)
+                assert chi.values == ref.values
+                assert [type(v) for v in chi.values] == [type(v) for v in ref.values]
+                assert (chi.conductor, chi.is_even, chi.label) == (
+                    ref.conductor, ref.is_even, ref.label)
+                accepted += 1
+        assert accepted == 1128
+
+    @pytest.mark.parametrize("N, values, exhaustive, message", [
+        (5, (0, -1, 1, 1, 1), False, "character must take value 1 at d = 1"),
+        (7, (0, 1, 1, 1, 1, 0.5, 1), False, "non-unit value at coprime residue 5"),
+        (10, (0, 1, 0, 2, 1, 0, 0, 1, 0, 1), False, "non-unit value at coprime residue 3"),
+        (6, (0, 1, 0, 1, 0, 1), False, "nonzero value at non-coprime residue 3"),
+        (5, (0, 1, 1, -1, 1), False, "multiplicativity fails at (2,3)"),
+        ("flip50", None, False, "multiplicativity fails at (34,49)"),
+        ("flip50", None, True, "multiplicativity fails at (2,25)"),
+        ("i52", None, False, "multiplicativity fails at (4,13)"),
+        ("i52", None, True, "multiplicativity fails at (2,26)"),
+    ])
+    def test_validate_messages(self, N, values, exhaustive, message):
+        # the first failing residue or pair, in the order of the per-pair scan;
+        # mod 101 the default check samples every third of the 100 units
+        if isinstance(N, str):
+            values = [kronecker(d, 101) for d in range(101)]
+            if N == "flip50":
+                values[50] = -values[50]
+            else:
+                values[52] = 1j
+            N = 101
+        chi = DirichletCharacter(modulus=N, values=tuple(values))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chi.validate(exhaustive=exhaustive)
 
 
 def test_inverse_mod():

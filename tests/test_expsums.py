@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_shift.arith import char_from_kronecker, inverse_mod, trivial_character
+from theta_shift import expsums
+from theta_shift.arith import char_from_kronecker, inverse_mod, kronecker, trivial_character
 from theta_shift.expsums import (
     kloosterman_factored,
     kloosterman_grid,
@@ -17,6 +18,7 @@ from theta_shift.expsums import (
     verify_weil,
     weil_ratio_grid,
 )
+from theta_shift.harness.suites import default_characters
 
 CHI4 = trivial_character(4)
 
@@ -186,3 +188,74 @@ class TestWeil:
         for _ in range(50):
             m, n, c, ell, chi = random_admissible_tuple(rng, 512, [CHI4])
             assert verify_weil(m, n, c, ell, chi) <= 1.0
+
+
+def _scalar_sum_table(c, chi, ell=None):
+    """Reference route: the twist tables by per-unit scalar loops."""
+    units = np.array([d for d in range(c) if math.gcd(d, c) == 1], dtype=np.int64)
+    invs = np.array([inverse_mod(int(d), c) for d in units], dtype=np.int64)
+    chiv = np.conjugate(np.array([complex(chi(int(d))) for d in units]))
+    if ell is None:
+        kron = np.array([kronecker(int(d), c) for d in units], dtype=np.float64)
+        return units, invs, chiv * kron
+    eps = np.array([1 if d % 4 == 1 else (1, 1j, -1, -1j)[ell % 4] for d in units])
+    kron = np.array([kronecker(c, int(d)) for d in units], dtype=np.float64)
+    return units, invs, eps * chiv * kron
+
+
+class TestTwistTablesAreExactIntegersSoSumsAreBitStable:
+    """Every table entry is an integer or a power of i, so the vector tables
+    equal the scalar ones exactly and every sum is unchanged bit for bit."""
+
+    CHARS = default_characters()
+
+    @staticmethod
+    def _both_routes(monkeypatch, fn):
+        vector = fn()
+        with monkeypatch.context() as mp:
+            mp.setattr(expsums, "_sum_table", _scalar_sum_table)
+            scalar = fn()
+        return vector, scalar
+
+    @staticmethod
+    def _same_table(c, chi, ell=None):
+        got = expsums._sum_table(c, chi, ell)
+        ref = _scalar_sum_table(c, chi, ell)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("c", [4, 36, 4096, 10_000])
+    def test_kloosterman_naive_and_factored(self, monkeypatch, c):
+        for chi in self.CHARS:
+            step = math.lcm(4, chi.modulus)
+            cc = max(step, c - c % step)
+            for ell in (1, 3, -1):
+                self._same_table(cc, chi, ell)
+            for fn in (kloosterman_naive, kloosterman_factored):
+                for m, n, ell in ((0, 0, 1), (1, 1, 3), (-7, 12, -1), (cc + 5, 2 * cc - 3, 5)):
+                    vec, ref = self._both_routes(monkeypatch, lambda: fn(m, n, cc, ell, chi).value)
+                    assert vec == ref
+
+    @pytest.mark.parametrize("c", [12, 120])
+    def test_kloosterman_grid(self, monkeypatch, c):
+        for chi in self.CHARS:
+            if c % math.lcm(4, chi.modulus):
+                continue
+            for ell in (1, 3):
+                vec, ref = self._both_routes(monkeypatch, lambda: kloosterman_grid(c, ell, chi))
+                assert vec.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("c, chi", [
+        (1, trivial_character(1)),
+        (3**5, trivial_character(1)),
+        (3**5, char_from_kronecker(-3, 3)),
+        (5**3, char_from_kronecker(5, 5)),
+        (4913, trivial_character(1)),
+        (28, trivial_character(1)),
+        (28, char_from_kronecker(-7, 28)),
+    ])
+    def test_salie_values(self, monkeypatch, rng, c, chi):
+        self._same_table(c, chi)
+        pairs = rng.integers(-3 * c, 3 * c, size=(25, 2))
+        vec, ref = self._both_routes(monkeypatch, lambda: salie_values(c, chi, pairs))
+        assert vec.tobytes() == ref.tobytes()
