@@ -41,12 +41,6 @@ def gl_nodes(n: int):
     return _GL_CACHE[n]
 
 
-def gl_panel(f, a: float, b: float, n: int = 24) -> float:
-    """Gauss-Legendre on one panel; f must accept a numpy array."""
-    x, w = gl_nodes(n)
-    mid, half = 0.5 * (b + a), 0.5 * (b - a)
-    return half * float(np.sum(w * f(mid + half * x)))
-
 def gl_panels(f, edges, n: int = 24) -> float:
     """Sum of Gauss-Legendre panels over consecutive edge pairs (vectorized)."""
     edges = np.asarray(edges, dtype=np.float64)
@@ -58,33 +52,16 @@ def gl_panels(f, edges, n: int = 24) -> float:
     return float(np.sum(halfs * (vals @ w)))
 
 
-def adaptive_panels(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_SPEC,
-                    n: int = 24) -> float:
-    """Bisecting panel integration with an n vs 2n error probe per panel."""
-    stack = [(a, b)]
-    total = 0.0
-    splits = 0
-    while stack:
-        lo, hi = stack.pop()
-        coarse = gl_panel(f, lo, hi, n)
-        fine = gl_panel(f, lo, hi, 2 * n)
-        if abs(fine - coarse) <= spec.abs_tol + spec.rel_tol * abs(fine) or splits >= spec.max_subdivisions:
-            total += fine
-            continue
-        midp = 0.5 * (lo + hi)
-        stack.append((lo, midp))
-        stack.append((midp, hi))
-        splits += 1
-    return total
-
-
 def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 600,
                      levels: int = 10, n: int = 16, tol: float = 1e-11):
     """Integral of f over [v0, inf) for unit-frequency oscillatory decay.
 
     Accumulates period-length panels and applies iterated averaging to
     the partial sums; returns (value, error_estimate).  The estimate is
-    the spread of the last few accelerated values.
+    the spread of the last few accelerated values.  f may be real or
+    complex valued: the value is a float for real f and a complex for
+    complex f.  For complex f the estimate is the spread's modulus, a
+    float that bounds the spread of each part, so one pass serves both.
     """
     x, w = gl_nodes(n)
     panels = []
@@ -96,7 +73,8 @@ def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 60
         mids = 0.5 * (edges[1:] + edges[:-1])
         halfs = 0.5 * (edges[1:] - edges[:-1])
         pts = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-        vals = np.asarray(f(pts), dtype=np.float64).reshape(batch, n)
+        vals = np.asarray(f(pts))
+        vals = vals.astype(np.result_type(vals, np.float64), copy=False).reshape(batch, n)
         panels.extend((halfs * (vals @ w)).tolist())
         a = edges[-1]
         s = np.cumsum(panels)
@@ -104,7 +82,7 @@ def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 60
         for _ in range(lev):
             s = 0.5 * (s[:-1] + s[1:])
         est = abs(s[-1] - s[-3]) + abs(s[-1] - s[-2]) if len(s) >= 3 else math.inf
-        best = (float(s[-1]), float(est))
+        best = (s[-1].item(), float(est))
         if est < tol:
             break
     return best

@@ -1,15 +1,18 @@
 """J-Bessel function of purely imaginary order 2it.
 
-Ascending power series below q = 25 and the large-argument (Hankel)
+Ascending power series up to q = 14 and the large-argument (Hankel)
 expansion above, which together cover the kernel integrals.  Two
 well-known numerical potholes are patched rather than ignored:
 
-* the alternating series loses ~q/2.3 digits to cancellation, so for
-  14 < q <= 25 the same series is summed by mpmath at boosted precision;
+* the alternating series loses ~q/2.3 digits to cancellation, so it is
+  summed in doubles only up to q = 14;
 * the Hankel expansion needs q large compared to the order squared, so
-  for q > 25 with 16 t^2 > q the evaluation falls back to mpmath.
+  it is used only where 16 t^2 <= q; for q > 14 with 16 t^2 > q the
+  evaluation goes to mpmath at boosted precision.
 
-Everything stays within the 1e-8 relative target of the overlap region.
+At the edge 16 t^2 = q, q just above 14, the Hankel expansion's optimal
+truncation leaves about 1e-11 relative error; everything stays within
+the 1e-8 relative target.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from .gammafun import log_gamma
 
 _SERIES_FAST_MAX = 14.0
-_SERIES_MAX = 25.0
 
 
 def _series_double(t: float, q: float) -> complex:
@@ -41,7 +43,7 @@ def _series_double(t: float, q: float) -> complex:
 
 
 def _series_boosted(t: float, q: float) -> complex:
-    """Same ascending series at boosted precision for the cancellation band."""
+    """mpmath at boosted precision, where neither double route is accurate."""
     import mpmath as mp
 
     digits_lost = int(q * 0.9) + 6
@@ -74,14 +76,7 @@ def bessel_J_imag_order(t: float, q: float) -> complex:
         raise ValueError(f"argument must be positive, got q={q}")
     if q <= _SERIES_FAST_MAX:
         return _series_double(t, q)
-    if q <= _SERIES_MAX:
-        return _series_boosted(t, q)
     if 16.0 * t * t <= q:
         return _hankel(t, q)
     return _series_boosted(t, q)
 
-
-def bessel_J_pair(t: float, q: float):
-    """(Re J_{2it}(q), Im J_{2it}(q)); J_{-2it} is the conjugate."""
-    v = bessel_J_imag_order(t, q)
-    return v.real, v.imag

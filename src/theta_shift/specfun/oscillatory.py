@@ -81,13 +81,10 @@ def _j_moment_panels(kappa: float, t: float, a: float, b: float) -> complex:
 
 def _j_moment_tail(kappa: float, t: float, omega: float) -> complex:
     """int_omega^inf J_{2it}(q) q^(kappa-1) dq, oscillation-accelerated."""
-    re = alternating_tail(
-        lambda q: np.array([bessel_J_imag_order(t, qq).real for qq in q]) * q ** (kappa - 1.0),
+    val, _ = alternating_tail(
+        lambda q: np.array([bessel_J_imag_order(t, qq) for qq in q]) * q ** (kappa - 1.0),
         omega, max_panels=320, n=12)
-    im = alternating_tail(
-        lambda q: np.array([bessel_J_imag_order(t, qq).imag for qq in q]) * q ** (kappa - 1.0),
-        omega, max_panels=320, n=12)
-    return complex(re[0], im[0])
+    return val
 
 
 def I_kappa(kappa: float, omega: float, t: float,
