@@ -136,6 +136,8 @@ def unit_table(c: int):
     over the whole array; exact while (c-1)^2 fits in int64.  At c = 1 the
     single residue 0 is returned, with inverse 0.
     """
+    if c < 1:
+        raise ValueError(f"modulus must be >= 1, got c={c}")
     units = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
     e = len(units) - 1
     invs = np.full(len(units), 1 % c, dtype=np.int64)
@@ -153,19 +155,6 @@ def epsilon_d(d: int) -> complex:
     if d % 2 == 0:
         raise ValueError(f"epsilon_d requires odd d, got {d}")
     return 1 if d % 4 == 1 else 1j
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An integer reduced into [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
 
 
 @dataclass(frozen=True)
@@ -203,10 +192,6 @@ class DirichletCharacter:
     def conj(self, d: int) -> complex:
         v = self.values[d % self.modulus]
         return v.conjugate() if isinstance(v, complex) else v
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.conductor == 1
 
     def validate(self, exhaustive: bool = False) -> None:
         """Check the table is a genuine character (multiplicative, unit values).

@@ -71,6 +71,8 @@ def _roots(c: int) -> np.ndarray:
 
 def _check_kloosterman_domain(c: int, ell: int, chi: DirichletCharacter) -> None:
     N = chi.modulus
+    if c < 1:
+        raise ValueError(f"modulus must be >= 1, got c={c}")
     if c % math.lcm(4, N) != 0:
         raise ValueError(f"need lcm(4, N) | c; got c={c}, N={N}")
     if ell % 2 == 0:

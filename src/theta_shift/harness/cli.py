@@ -2,9 +2,11 @@
 grids, and the shifted-sum experiment pipeline.
 
 Two-word module verbs (`expsum eval`, `specfun whittaker`, ...) fold
-into single subcommands, so both spellings work.  Every run writes a
-schema-versioned CSV plus a human-readable summary; the exit status is
-nonzero iff a hard assertion fails.
+into single subcommands, so both spellings work.  Each command is one
+row of `COMMANDS`; a handler returns (header, rows, lines, ok), and a
+command with a header writes a schema-versioned CSV.  Every run prints
+a human-readable summary; the exit status is 1 iff a hard assertion
+fails and 2 on bad input.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ from ..expsums import kloosterman_factored, kloosterman_naive, salie_naive
 from ..modforms.eta import eta7_cusp_form
 from ..modforms.forms import load_form, save_form
 from ..modforms.residual import sym2_residue_estimate
-from ..modforms.sums import fit_exponent
-from ..quadrature import QuadratureSpec
+from ..modforms.sums import ShiftedSumSeries, fit_exponent
 from ..specfun.besselj import bessel_J_imag_order
-from ..specfun.mellin import direct_G, mellin_barnes_G
-from ..specfun.oscillatory import I_kappa, g_kappa
 from ..specfun.whittaker import WhittakerParams, whittaker_W
 from . import suites
-from .config import ExperimentConfig
 from .csvio import read_csv, write_csv
 
 _TWO_WORD = {"expsum", "specfun"}
@@ -40,106 +38,11 @@ def _normalize_argv(argv):
     return list(argv)
 
 
-def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="theta-shift",
-        description="exponential-sum, special-function, and shifted-sum checks",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="out", help="artifact directory")
-        p.add_argument("--abs-tol", type=float, default=1e-10)
-        p.add_argument("--rel-tol", type=float, default=1e-8)
-
-    p = sub.add_parser("expsum-eval", help="evaluate one twisted sum")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--char-kronecker", type=int, default=None,
-                   help="discriminant D for the character (D/.)")
-    p.add_argument("--char-mod", type=int, default=4)
-    p.add_argument("--salie", action="store_true", help="evaluate the (d/c)-twisted variant")
-    p.add_argument("--factored", action="store_true")
-
-    p = sub.add_parser("expsum-sweep", help="random bound sweep")
-    common(p)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-c", type=int, default=4096)
-    p.add_argument("--exhaustive-max", type=int, default=128)
-
-    p = sub.add_parser("verify-mult", help="factored vs naive agreement",
-                       aliases=["expsum-verify-mult"])
-    common(p)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-c", type=int, default=10000)
-
-    p = sub.add_parser("salie-bounds", help="prime-power bound sweep")
-    common(p)
-    p.add_argument("--pmax", type=int, default=5000)
-
-    p = sub.add_parser("specfun-check", help="kernel identity suite")
-    common(p)
-
-    p = sub.add_parser("specfun-whittaker", help="point or ratio-grid values")
-    common(p)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--t", type=float, default=None, help="imaginary second parameter it")
-    p.add_argument("--mu", type=float, default=None, help="real second parameter")
-    p.add_argument("--y", type=float, action="append", required=True)
-
-    p = sub.add_parser("specfun-bessel", help="J of imaginary order on a grid")
-    common(p)
-    p.add_argument("--t", type=float, action="append", required=True)
-    p.add_argument("--q", type=float, action="append", required=True)
-
-    p = sub.add_parser("oscillatory-map", help="G-kernel bound map",
-                       aliases=["specfun-oscillatory"])
-    common(p)
-    p.add_argument("--n-omega", type=int, default=8)
-    p.add_argument("--n-T", type=int, default=6)
-    p.add_argument("--kappa", type=float, action="append", default=None)
-
-    p = sub.add_parser("specfun-mellin-barnes", help="contour vs direct checks")
-    common(p)
-
-    p = sub.add_parser("theta-check", help="weight-1/2 multiplier residuals")
-    common(p)
-    p.add_argument("--trials", type=int, default=100)
-
-    p = sub.add_parser("shifted-sum", help="sharp-cutoff experiment")
-    common(p)
-    p.add_argument("--form", required=True, help="coefficient file, or 'eta7'")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--xmax", type=float, default=4096.0)
-    p.add_argument("--xmin", type=float, default=32.0)
-    p.add_argument("--grid", choices=["dyadic"], default="dyadic")
-    p.add_argument("--one-sided", action="store_true",
-                   help="count n >= 0 once instead of the square-counting weight")
-
-    p = sub.add_parser("fit", help="exponent fit of a shifted-sum CSV")
-    common(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--c", type=float, default=0.0, help="main-term constant to subtract")
-
-    p = sub.add_parser("sym2", help="symmetric-square residue estimate")
-    common(p)
-    p.add_argument("--form", required=True)
-    p.add_argument("--ymax", type=int, default=4000)
-
-    p = sub.add_parser("remark-check", help="explicit inner-product value")
-    common(p)
-    p.add_argument("--k", type=int, action="append", default=None)
-
-    p = sub.add_parser("gen-form", help="write a coefficient file")
-    common(p)
-    p.add_argument("--type", choices=["eta7"], default="eta7")
-    p.add_argument("--M", type=int, default=100000)
-    p.add_argument("--file", required=True)
-    return top
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {seed}")
+    return seed
 
 
 def _character(args):
@@ -154,144 +57,235 @@ def _load(name: str, need_M: int = 0):
     return load_form(name)
 
 
-def _emit(args, command, header, rows, lines, ok) -> int:
-    path = os.path.join(args.out, f"{command}.csv")
-    write_csv(path, command, args.seed, header, rows)
-    for line in lines:
-        print(line)
-    print(f"artifact: {path}")
-    return 0 if ok else 1
+# -- handlers: args -> (CSV header or None, rows, summary lines, ok) ---------------
+# Suites are looked up on the module at call time, so wrappers installed
+# on `suites` attributes see every call.
+
+def _expsum_eval(args):
+    chi = _character(args)
+    if args.salie:
+        res = salie_naive(args.m, args.n, args.c, chi)
+    else:
+        fn = kloosterman_factored if args.factored else kloosterman_naive
+        res = fn(args.m, args.n, args.c, args.ell, chi)
+    rows = [(args.m, args.n, args.c, args.ell, chi.label,
+             res.value.real, res.value.imag, res.bound,
+             abs(res.value) / res.bound if res.bound else math.inf)]
+    lines = [f"value = {res.value:.12g}, bound = {res.bound:.6g}, "
+             f"ratio = {abs(res.value)/res.bound:.6f}"]
+    return ["m", "n", "c", "ell", "char", "re", "im", "bound", "ratio"], rows, lines, True
+
+
+def _expsum_sweep(args):
+    return (["kind", "c", "ell", "char", "ratio"],
+            *suites.weil_sweep_suite(seed=args.seed, trials=args.trials, max_c=args.max_c,
+                                     exhaustive_max=args.exhaustive_max))
+
+
+def _verify_mult(args):
+    return (["m", "n", "c", "ell", "char", "re", "im", "deviation", "budget_used"],
+            *suites.verify_mult_suite(seed=args.seed, trials=args.trials, max_c=args.max_c))
+
+
+def _salie_bounds(args):
+    return (["c", "m", "n", "char", "abs", "bound", "ratio"],
+            *suites.salie_bound_suite(pmax=args.pmax, seed=args.seed))
+
+
+def _specfun_check(args):
+    all_rows = []
+    all_lines = []
+    ok = True
+    for name, suite in (("norm", suites.whittaker_norm_suite),
+                        ("ratio", suites.whittaker_ratio_suite),
+                        ("lower", suites.whittaker_lower_suite),
+                        ("bessel", suites.bessel_bound_suite),
+                        ("mellin", suites.mellin_suite),
+                        ("remark", suites.remark_suite)):
+        rows, lines, good = suite()
+        all_rows.extend((name, *r) for r in rows)
+        all_lines.extend(lines)
+        ok = ok and good
+    header = ["suite", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"]
+    return header, [r + ("",) * (10 - len(r)) for r in all_rows], all_lines, ok
+
+
+def _specfun_whittaker(args):
+    if (args.t is None) == (args.mu is None):
+        raise ValueError("exactly one of --t / --mu is required")
+    mu = 1j * args.t if args.t is not None else args.mu
+    rows = [(args.eta, str(mu), y, whittaker_W(WhittakerParams(args.eta, mu, y)))
+            for y in sorted(args.y)]
+    lines = [f"W({args.eta},{mu})({y}) = {w:.12e}" for *_, y, w in rows]
+    return ["eta", "mu", "y", "W"], rows, lines, True
+
+
+def _specfun_bessel(args):
+    rows = []
+    for t in args.t:
+        for q in args.q:
+            v = bessel_J_imag_order(t, q)
+            rows.append((t, q, v.real, v.imag))
+    lines = [f"J_(2*{t}i)({q}) = {re:.12e} + {im:.12e} i" for t, q, re, im in rows]
+    return ["t", "q", "re", "im"], rows, lines, True
+
+
+def _oscillatory_map(args):
+    kappas = tuple(args.kappa) if args.kappa else (0.5, -0.5)
+    return (["kappa", "omega", "T", "G", "ratio"],
+            *suites.oscillatory_map_suite(kappas=kappas, n_omega=args.n_omega, n_T=args.n_T))
+
+
+def _mellin_barnes(args):
+    return (["n1", "n2", "m", "k", "t", "contour", "direct", "rel_err", "shift_invariance"],
+            *suites.mellin_suite())
+
+
+def _theta_check(args):
+    return (["a", "b", "c", "d", "residual"],
+            *suites.theta_suite(seed=args.seed, trials=args.trials))
+
+
+def _shifted_sum(args):
+    lo = int(math.log2(args.xmin))
+    hi = int(math.log2(args.xmax))
+    f = _load(args.form, need_M=int(args.xmax) ** 2 + args.h)
+    _, rows = suites.shifted_sum_experiment(
+        f, args.h, x_lo_exp=lo, x_hi_exp=hi, one_sided=args.one_sided)
+    lines = [f"X={x:g}: S={s:.8f} S/X={sx:.8f}" for x, s, sx in rows]
+    return ["X", "S", "S_over_X"], rows, lines, True
+
+
+def _fit(args):
+    _, header, data = read_csv(args.infile)
+    xs = np.array([float(r[header.index("X")]) for r in data])
+    ss = np.array([float(r[header.index("S")]) for r in data])
+    slope = fit_exponent(ShiftedSumSeries(h=0, rows=list(zip(xs, ss))), args.c)
+    return None, None, [f"slope of log|S - {args.c} X| vs log X: {slope:.4f}"], True
+
+
+def _sym2(args):
+    f = _load(args.form, need_M=args.ymax**2)
+    r_hat, quality = sym2_residue_estimate(
+        f, np.unique(np.geomspace(40, args.ymax, 24).astype(int)))
+    return None, None, [f"symmetric-square residue estimate: {r_hat:.6f} "
+                        f"(fit quality {quality:.4f})"], True
+
+
+def _remark_check(args):
+    ks = tuple(args.k) if args.k else (5, 9)
+    return (["k", "quadrature", "closed_form", "rel_err"], *suites.remark_suite(ks=ks))
+
+
+def _gen_form(args):
+    save_form(args.file, eta7_cusp_form(args.M))
+    return None, None, [f"wrote {args.file} with M={args.M} coefficients"], True
+
+
+# name -> (help, aliases, arguments as (flag, add_argument keywords), handler)
+COMMANDS = {
+    "expsum-eval": ("evaluate one twisted sum", (), (
+        ("--m", dict(type=int, required=True)),
+        ("--n", dict(type=int, required=True)),
+        ("--c", dict(type=int, required=True)),
+        ("--ell", dict(type=int, default=1)),
+        ("--char-kronecker", dict(type=int, default=None,
+                                  help="discriminant D for the character (D/.)")),
+        ("--char-mod", dict(type=int, default=4)),
+        ("--salie", dict(action="store_true", help="evaluate the (d/c)-twisted variant")),
+        ("--factored", dict(action="store_true")),
+    ), _expsum_eval),
+    "expsum-sweep": ("random bound sweep", (), (
+        ("--trials", dict(type=int, default=1000)),
+        ("--max-c", dict(type=int, default=4096)),
+        ("--exhaustive-max", dict(type=int, default=128)),
+    ), _expsum_sweep),
+    "verify-mult": ("factored vs naive agreement", ("expsum-verify-mult",), (
+        ("--trials", dict(type=int, default=200)),
+        ("--max-c", dict(type=int, default=10000)),
+    ), _verify_mult),
+    "salie-bounds": ("prime-power bound sweep", (), (
+        ("--pmax", dict(type=int, default=5000)),
+    ), _salie_bounds),
+    "specfun-check": ("kernel identity suite", (), (), _specfun_check),
+    "specfun-whittaker": ("point or ratio-grid values", (), (
+        ("--eta", dict(type=float, required=True)),
+        ("--t", dict(type=float, default=None, help="imaginary second parameter it")),
+        ("--mu", dict(type=float, default=None, help="real second parameter")),
+        ("--y", dict(type=float, action="append", required=True)),
+    ), _specfun_whittaker),
+    "specfun-bessel": ("J of imaginary order on a grid", (), (
+        ("--t", dict(type=float, action="append", required=True)),
+        ("--q", dict(type=float, action="append", required=True)),
+    ), _specfun_bessel),
+    "oscillatory-map": ("G-kernel bound map", ("specfun-oscillatory",), (
+        ("--n-omega", dict(type=int, default=8)),
+        ("--n-T", dict(type=int, default=6)),
+        ("--kappa", dict(type=float, action="append", default=None)),
+    ), _oscillatory_map),
+    "specfun-mellin-barnes": ("contour vs direct checks", (), (), _mellin_barnes),
+    "theta-check": ("weight-1/2 multiplier residuals", (), (
+        ("--trials", dict(type=int, default=100)),
+    ), _theta_check),
+    "shifted-sum": ("sharp-cutoff experiment", (), (
+        ("--form", dict(required=True, help="coefficient file, or 'eta7'")),
+        ("--h", dict(type=int, required=True)),
+        ("--xmax", dict(type=float, default=4096.0)),
+        ("--xmin", dict(type=float, default=32.0)),
+        ("--grid", dict(choices=["dyadic"], default="dyadic")),
+        ("--one-sided", dict(action="store_true",
+                             help="count n >= 0 once instead of the square-counting weight")),
+    ), _shifted_sum),
+    "fit": ("exponent fit of a shifted-sum CSV", (), (
+        ("--in", dict(dest="infile", required=True)),
+        ("--c", dict(type=float, default=0.0, help="main-term constant to subtract")),
+    ), _fit),
+    "sym2": ("symmetric-square residue estimate", (), (
+        ("--form", dict(required=True)),
+        ("--ymax", dict(type=int, default=4000)),
+    ), _sym2),
+    "remark-check": ("explicit inner-product value", (), (
+        ("--k", dict(type=int, action="append", default=None)),
+    ), _remark_check),
+    "gen-form": ("write a coefficient file", (), (
+        ("--type", dict(choices=["eta7"], default="eta7")),
+        ("--M", dict(type=int, default=100000)),
+        ("--file", dict(required=True)),
+    ), _gen_form),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="theta-shift",
+        description="exponential-sum, special-function, and shifted-sum checks",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, aliases, arguments, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, aliases=list(aliases))
+        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--out", default="out", help="artifact directory")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(name=name, handler=handler)
+    return top
 
 
 def main(argv=None) -> int:
     argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
     args = _parser().parse_args(argv)
-    cmd = args.command
-    spec = QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-    config = ExperimentConfig(command=_canonical(cmd), seed=args.seed,
-                              tolerances=spec, out_dir=args.out)
     try:
-        return run(config, args)
+        header, rows, lines, ok = args.handler(args)
+        if header is not None:
+            path = os.path.join(args.out, f"{args.name}.csv")
+            write_csv(path, args.name, args.seed, header, rows)
+            lines = lines + [f"artifact: {path}"]
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _canonical(cmd: str) -> str:
-    return {"expsum-verify-mult": "verify-mult",
-            "specfun-oscillatory": "oscillatory-map"}.get(cmd, cmd)
-
-
-def run(config: ExperimentConfig, args) -> int:
-    cmd = config.command
-    if cmd == "expsum-eval":
-        chi = _character(args)
-        fn = salie_naive if args.salie else (
-            kloosterman_factored if args.factored else kloosterman_naive)
-        res = (fn(args.m, args.n, args.c, chi) if args.salie
-               else fn(args.m, args.n, args.c, args.ell, chi))
-        rows = [(args.m, args.n, args.c, args.ell, chi.label,
-                 res.value.real, res.value.imag, res.bound,
-                 abs(res.value) / res.bound if res.bound else math.inf)]
-        lines = [f"value = {res.value:.12g}, bound = {res.bound:.6g}, "
-                 f"ratio = {abs(res.value)/res.bound:.6f}"]
-        return _emit(args, cmd, ["m", "n", "c", "ell", "char", "re", "im", "bound", "ratio"],
-                     rows, lines, True)
-    if cmd == "expsum-sweep":
-        rows, lines, ok = suites.weil_sweep_suite(
-            seed=config.seed, trials=args.trials, max_c=args.max_c,
-            exhaustive_max=args.exhaustive_max)
-        return _emit(args, cmd, ["kind", "c", "ell", "char", "ratio"], rows, lines, ok)
-    if cmd == "verify-mult":
-        rows, lines, ok = suites.verify_mult_suite(
-            seed=config.seed, trials=args.trials, max_c=args.max_c)
-        return _emit(args, cmd, ["m", "n", "c", "ell", "char", "re", "im",
-                                 "deviation", "budget_used"], rows, lines, ok)
-    if cmd == "salie-bounds":
-        rows, lines, ok = suites.salie_bound_suite(pmax=args.pmax, seed=config.seed)
-        return _emit(args, cmd, ["c", "m", "n", "char", "abs", "bound", "ratio"],
-                     rows, lines, ok)
-    if cmd == "specfun-check":
-        all_rows = []
-        all_lines = []
-        ok = True
-        for name, suite in (("norm", suites.whittaker_norm_suite),
-                            ("ratio", suites.whittaker_ratio_suite),
-                            ("lower", suites.whittaker_lower_suite),
-                            ("bessel", suites.bessel_bound_suite),
-                            ("mellin", suites.mellin_suite),
-                            ("remark", suites.remark_suite)):
-            rows, lines, good = suite()
-            all_rows.extend((name, *r) for r in rows)
-            all_lines.extend(lines)
-            ok = ok and good
-        return _emit(args, cmd, ["suite", "v1", "v2", "v3", "v4", "v5", "v6",
-                                 "v7", "v8", "v9"],
-                     [r + ("",) * (10 - len(r)) for r in all_rows], all_lines, ok)
-    if cmd == "specfun-whittaker":
-        if (args.t is None) == (args.mu is None):
-            print("exactly one of --t / --mu is required", file=sys.stderr)
-            return 2
-        mu = 1j * args.t if args.t is not None else args.mu
-        rows = [(args.eta, str(mu), y, whittaker_W(WhittakerParams(args.eta, mu, y)))
-                for y in sorted(args.y)]
-        lines = [f"W({args.eta},{mu})({y}) = {w:.12e}" for *_, y, w in rows]
-        return _emit(args, cmd, ["eta", "mu", "y", "W"], rows, lines, True)
-    if cmd == "specfun-bessel":
-        rows = []
-        for t in args.t:
-            for q in args.q:
-                v = bessel_J_imag_order(t, q)
-                rows.append((t, q, v.real, v.imag))
-        lines = [f"J_(2*{t}i)({q}) = {re:.12e} + {im:.12e} i" for t, q, re, im in rows]
-        return _emit(args, cmd, ["t", "q", "re", "im"], rows, lines, True)
-    if cmd == "oscillatory-map":
-        kappas = tuple(args.kappa) if args.kappa else (0.5, -0.5)
-        rows, lines, ok = suites.oscillatory_map_suite(
-            kappas=kappas, n_omega=args.n_omega, n_T=args.n_T)
-        return _emit(args, cmd, ["kappa", "omega", "T", "G", "ratio"], rows, lines, ok)
-    if cmd == "specfun-mellin-barnes":
-        rows, lines, ok = suites.mellin_suite()
-        return _emit(args, cmd, ["n1", "n2", "m", "k", "t", "contour", "direct",
-                                 "rel_err", "shift_invariance"], rows, lines, ok)
-    if cmd == "theta-check":
-        rows, lines, ok = suites.theta_suite(seed=config.seed, trials=args.trials)
-        return _emit(args, cmd, ["a", "b", "c", "d", "residual"], rows, lines, ok)
-    if cmd == "shifted-sum":
-        lo = int(math.log2(args.xmin))
-        hi = int(math.log2(args.xmax))
-        need = int(args.xmax) ** 2 + args.h
-        f = _load(args.form, need_M=need)
-        series, rows = suites.shifted_sum_experiment(
-            f, args.h, x_lo_exp=lo, x_hi_exp=hi, one_sided=args.one_sided)
-        lines = [f"X={x:g}: S={s:.8f} S/X={sx:.8f}" for x, s, sx in rows]
-        return _emit(args, cmd, ["X", "S", "S_over_X"], rows, lines, True)
-    if cmd == "fit":
-        _, header, data = read_csv(args.infile)
-        xs = np.array([float(r[header.index("X")]) for r in data])
-        ss = np.array([float(r[header.index("S")]) for r in data])
-        from ..modforms.sums import ShiftedSumSeries
-        series = ShiftedSumSeries(h=0, rows=list(zip(xs, ss)))
-        slope = fit_exponent(series, args.c)
-        print(f"slope of log|S - {args.c} X| vs log X: {slope:.4f}")
-        return 0
-    if cmd == "sym2":
-        f = _load(args.form, need_M=args.ymax**2)
-        r_hat, quality = sym2_residue_estimate(
-            f, np.unique(np.geomspace(40, args.ymax, 24).astype(int)))
-        print(f"symmetric-square residue estimate: {r_hat:.6f} (fit quality {quality:.4f})")
-        return 0
-    if cmd == "remark-check":
-        ks = tuple(args.k) if args.k else (5, 9)
-        rows, lines, ok = suites.remark_suite(ks=ks)
-        return _emit(args, cmd, ["k", "quadrature", "closed_form", "rel_err"],
-                     rows, lines, ok)
-    if cmd == "gen-form":
-        f = eta7_cusp_form(args.M)
-        save_form(args.file, f)
-        print(f"wrote {args.file} with M={args.M} coefficients")
-        return 0
-    raise AssertionError(f"unhandled command {cmd}")
+    for line in lines:
+        print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

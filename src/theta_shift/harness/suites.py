@@ -28,9 +28,8 @@ from ..modforms.residual import (
     residual_constant,
     sym2_residue_estimate,
 )
-from ..modforms.sums import fit_exponent, shifted_sum
+from ..modforms.sums import ShiftedSumSeries, fit_exponent, shifted_sum
 from ..modforms.theta import random_gamma0_matrix, theta_transform_residual
-from ..quadrature import DEFAULT_SPEC
 from ..specfun.besselj import bessel_J_imag_order
 from ..specfun.mellin import direct_G, mellin_barnes_G
 from ..specfun.oscillatory import g_kappa, g_kappa_t
@@ -40,7 +39,11 @@ from ..specfun.whittaker import (
     whittaker_norm_closed_form,
     whittaker_uniform_ratio_grid,
 )
-from .config import item_rng
+
+
+def item_rng(seed: int, index: int) -> np.random.Generator:
+    """Generator for one work item; independent of execution order."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 def default_characters():
@@ -228,6 +231,8 @@ def whittaker_lower_suite(etas=(1.25, -1.25), ts=(1.0, 2.0, 5.0, 10.0, 30.0)):
 def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6,
                           dual_route_tol: float = 1e-4):
     """Boundedness and grid stability of G, plus a dual-route spot check."""
+    if n_omega < 1 or n_T < 1:
+        raise ValueError(f"need n_omega >= 1 and n_T >= 1, got {n_omega} and {n_T}")
     rows = []
     t0 = time.time()
     sups_large = {}
@@ -390,7 +395,7 @@ def exponent_gate(f: CuspForm, h: int = 1, cap: float = 0.85, min_points: int = 
     slope = fit_exponent(series, 0.0)
     # top-of-range slope on the last few octaves, reported alongside
     mask = xs >= 2.0 ** 8
-    top = ShiftedSumSeriesView(series, mask)
+    top = ShiftedSumSeries(h=h, rows=[r for r, m in zip(series.rows, mask) if m])
     top_slope = float(np.polyfit(np.log(top.xs()), np.log(np.abs(top.values())), 1)[0]) \
         if mask.sum() >= 2 else math.nan
     ok = slope <= cap and len(xs) >= min_points
@@ -400,20 +405,6 @@ def exponent_gate(f: CuspForm, h: int = 1, cap: float = 0.85, min_points: int = 
         f"top-window slope {top_slope:.3f}",
     ]
     return rows, lines, ok, slope
-
-
-class ShiftedSumSeriesView:
-    """Row-masked view duck-typing ShiftedSumSeries for the fitter."""
-
-    def __init__(self, series, mask):
-        self.rows = [r for r, m in zip(series.rows, mask) if m]
-        self.h = series.h
-
-    def xs(self):
-        return np.array([x for x, _ in self.rows])
-
-    def values(self):
-        return np.array([s for _, s in self.rows])
 
 
 def main_term_gate(f: CuspForm, h: int = 7, stab_tol: float = 0.10,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arith import DirichletCharacter, char_from_kronecker, deserialize_character
+from ..arith import DirichletCharacter, char_from_kronecker, deserialize_character, trivial_character
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ def load_form(path) -> CuspForm:
             "value_table": [(complex(v).real, complex(v).imag) for v in char_table],
         })
     else:
-        from ..arith import trivial_character
         chi = trivial_character(level)
     if not pairs:
         raise ValueError(f"{path}: no coefficients")

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from ..arith import DirichletCharacter, char_from_kronecker, kronecker_array
-from ..quadrature import DEFAULT_SPEC, QuadratureSpec
+from ..arith import DirichletCharacter, kronecker_array
+from ..specfun.mellin import direct_G
 from .forms import CuspForm, r1
 
 ZETA2 = math.pi * math.pi / 6.0
@@ -122,7 +122,7 @@ def sym2_residue_estimate(f: CuspForm, Y_grid) -> tuple:
     return float(ZETA2 * slope), quality
 
 
-def remark_inner_product(k: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def remark_inner_product(k: int) -> float:
     """The explicit nonvanishing inner product at level 576, weight k = 1 mod 4.
 
     Quadrature route: the unfolded coefficient sum collapses to the
@@ -133,9 +133,7 @@ def remark_inner_product(k: int, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """
     if k < 5 or k % 4 != 1:
         raise ValueError("k must be >= 5 with k = 1 mod 4")
-    from ..specfun.mellin import direct_G
-
-    integral = direct_G(1, 1, 2, k, -0.25j, spec)
+    integral = direct_G(1, 1, 2, k, -0.25j)
     return 4.0 * (4.0 * math.pi) ** (-0.25) * integral
 
 

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import CuspForm, r1
+from .forms import CuspForm
 
 
 @dataclass
 class ShiftedSumSeries:
     h: int
     rows: list = field(default_factory=list)  # (X, S(X)) pairs, X increasing
-    fitted_c: float | None = None
-    fitted_exponent: float | None = None
     one_sided: bool = False
 
     def xs(self) -> np.ndarray:
@@ -109,9 +107,3 @@ def fit_exponent(series: ShiftedSumSeries, c: float) -> float:
         raise ValueError("degenerate grid: residuals vanish")
     slope, _ = np.polyfit(np.log(xs[keep]), np.log(resid[keep]), 1)
     return float(slope)
-
-
-def fit_main_term(series: ShiftedSumSeries) -> float:
-    """Crude main-term constant: S(X)/X at the top grid point."""
-    x, s = series.rows[-1]
-    return s / x

@@ -33,10 +33,6 @@ def theta_series(z: complex, tol: float = 1e-18) -> complex:
             raise RuntimeError("theta series failed to converge (Im z too small)")
 
 
-def theta_terms_needed(z: complex, tol: float = 1e-18) -> int:
-    return int(math.sqrt(max(1.0, -math.log(tol) / (2 * math.pi * z.imag)))) + 1
-
-
 def theta_multiplier(gamma) -> complex:
     """eps_d^{-1} (c/d) for gamma in Gamma_0(4)."""
     a, b, c, d = _check_gamma(gamma)

@@ -1,4 +1,4 @@
-"""Quadrature controls and the two workhorse rules used across the kernel.
+"""The two workhorse quadrature rules used across the kernel.
 
 Panel Gauss-Legendre for smooth-by-construction panels, and an
 alternating-tail rule (pi-length panels plus iterated averaging of the
@@ -9,28 +9,8 @@ oscillation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances, truncation, and subdivision limits for numerical integrals."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 4000
-    truncation_decades: int = 3
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 _GL_CACHE: dict = {}
 

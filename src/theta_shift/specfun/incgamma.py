@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1, gammaln
+from scipy.special import exp1
 
 _CROSSOVER = 8.0
 _CF_ITERS = 220

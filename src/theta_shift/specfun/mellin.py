@@ -19,9 +19,12 @@ import math
 
 import numpy as np
 
-from ..quadrature import DEFAULT_SPEC, QuadratureSpec, gl_nodes
+from ..quadrature import gl_nodes
 from .gammafun import log_gamma_vec
 from .whittaker import whittaker_solution
+
+# the contour is cut where the integrand's decay bound falls below this
+_ABS_TOL = 1e-10
 
 
 def _validate(n1: int, n2: int, m: int, k: int, t: complex) -> None:
@@ -40,8 +43,7 @@ def _validate(n1: int, n2: int, m: int, k: int, t: complex) -> None:
         raise ValueError("spectral parameter must be real or purely imaginary")
 
 
-def mellin_barnes_G(n1: int, n2: int, m: int, k: int, t: complex, re_w: float,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> complex:
+def mellin_barnes_G(n1: int, n2: int, m: int, k: int, t: complex, re_w: float) -> complex:
     """Contour-integral evaluation along Re w = re_w."""
     _validate(n1, n2, m, k, t)
     t = complex(t)
@@ -69,7 +71,7 @@ def mellin_barnes_G(n1: int, n2: int, m: int, k: int, t: complex, re_w: float,
         return np.exp(lg)
 
     tt = abs(t.real) + abs(t.imag)
-    v_max = tt + max(12.0, (math.log(1.0 / spec.abs_tol) + k * math.log(2.0 + tt)) / math.pi + 6.0)
+    v_max = tt + max(12.0, (math.log(1.0 / _ABS_TOL) + k * math.log(2.0 + tt)) / math.pi + 6.0)
     # conjugate symmetry: integral = (1/pi) Re int_0^Vmax
     edges = np.concatenate([
         np.linspace(0.0, tt + 2.0, max(8, int(2 * (tt + 2)))),
@@ -84,8 +86,7 @@ def mellin_barnes_G(n1: int, n2: int, m: int, k: int, t: complex, re_w: float,
     return complex(total.real / math.pi, 0.0)
 
 
-def direct_G(n1: int, n2: int, m: int, k: int, t: complex,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def direct_G(n1: int, n2: int, m: int, k: int, t: complex) -> float:
     """Direct y-quadrature of the defining integral (Whittaker route)."""
     _validate(n1, n2, m, k, t)
     t = complex(t)

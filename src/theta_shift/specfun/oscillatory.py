@@ -29,12 +29,14 @@ import math
 
 import numpy as np
 
-from ..quadrature import DEFAULT_SPEC, QuadratureSpec, alternating_tail, gl_nodes, gl_panels
+from ..quadrature import alternating_tail, gl_nodes, gl_panels
 from .besselj import bessel_J_imag_order
 from .gammafun import log_gamma
 from .incgamma import im_upper_gamma_imag_axis
 
 _T_FLOOR = 1e-4
+# error estimate at which the g_kappa tails stop
+_TAIL_TOL = 1e-10
 
 
 def _check_kappa(kappa: float) -> None:
@@ -87,8 +89,7 @@ def _j_moment_tail(kappa: float, t: float, omega: float) -> complex:
     return val
 
 
-def I_kappa(kappa: float, omega: float, t: float,
-            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def I_kappa(kappa: float, omega: float, t: float) -> float:
     """The pre-trace-formula kernel integral, real-valued."""
     _check_kappa(kappa)
     if omega <= 0:
@@ -114,8 +115,7 @@ def _I_kappa_at(kappa: float, omega: float, t: float) -> float:
     return sign * 2.0 * math.pi * omega ** (1.0 - kappa) * val
 
 
-def g_kappa_t(kappa: float, omega: float, T: float,
-              spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def g_kappa_t(kappa: float, omega: float, T: float) -> float:
     """G by its definition: composite t-quadrature of t * I_kappa."""
     _check_kappa(kappa)
     if T < 0:
@@ -130,12 +130,11 @@ def g_kappa_t(kappa: float, omega: float, T: float,
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         for x, w in zip(nodes, weights):
             tt = mid + half * x
-            total += half * w * tt * I_kappa(kappa, omega, tt, spec)
+            total += half * w * tt * I_kappa(kappa, omega, tt)
     return total
 
 
-def g_kappa(kappa: float, omega: float, T: float,
-            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def g_kappa(kappa: float, omega: float, T: float) -> float:
     """G via the reduced double-integral form (fast route)."""
     _check_kappa(kappa)
     if omega <= 0:
@@ -184,8 +183,8 @@ def g_kappa(kappa: float, omega: float, T: float,
         return (1.0 - np.cos(2.0 * T * xi)) * (omega / v) ** (1.0 + kappa) \
             * im_upper_gamma_imag_axis(kappa, v) / (omega * xi)
 
-    ta, _ = alternating_tail(a_tail, v_c, max_panels=1600, tol=spec.abs_tol)
-    tb, _ = alternating_tail(b_tail, v_c, max_panels=1600, tol=spec.abs_tol)
+    ta, _ = alternating_tail(a_tail, v_c, max_panels=1600, tol=_TAIL_TOL)
+    tb, _ = alternating_tail(b_tail, v_c, max_panels=1600, tol=_TAIL_TOL)
     A += ta
     B += tb
     return omega * A + kappa * omega ** (1.0 - kappa) * B

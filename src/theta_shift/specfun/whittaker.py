@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ..quadrature import DEFAULT_SPEC, QuadratureSpec
 from .gammafun import digamma, log_gamma
 
 _RTOL = 1e-12
@@ -97,9 +96,6 @@ class WhittakerSolution:
     tail_l2_w: float   # int_{y0}^inf W^2 dy/y  estimate
     tail_l2_w2: float  # int_{y0}^inf W^2 dy/y^2 estimate
 
-    def _v(self, y):
-        return self._dense(y)[0]
-
     def w_values(self, ys) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
         slack = 1e-9 * max(1.0, self.y_end)
@@ -107,14 +103,6 @@ class WhittakerSolution:
             raise ValueError("target outside solved range")
         vals = self._dense(ys)[0]
         return np.exp(-0.5 * ys + self.eta * np.log(ys)) * vals
-
-    def state(self, y):
-        """(W, W') reconstructed from the scaled state, for residual checks."""
-        v, dv = self._dense(y)
-        scale = math.exp(-0.5 * y + self.eta * math.log(y))
-        w = scale * v
-        dw = scale * (dv + (-0.5 + self.eta / y) * v)
-        return w, dw
 
 
 @lru_cache(maxsize=256)
@@ -157,7 +145,7 @@ def whittaker_solution(eta: float, mu: complex, y_min: float, y_max: float) -> W
     return _solve_scaled(float(eta), _mu2_of(mu), float(y_min), float(y_max))
 
 
-def whittaker_W(p: WhittakerParams, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def whittaker_W(p: WhittakerParams) -> float:
     """W_{eta,mu}(y), real-valued in both parameter regimes."""
     if p.y < _Y_TINY:
         warnings.warn(
@@ -168,14 +156,13 @@ def whittaker_W(p: WhittakerParams, spec: QuadratureSpec = DEFAULT_SPEC) -> floa
     return float(sol.w_values(p.y)[0])
 
 
-def whittaker_W_grid(eta: float, mu: complex, ys, spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def whittaker_W_grid(eta: float, mu: complex, ys) -> np.ndarray:
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     sol = whittaker_solution(eta, mu, float(np.min(ys)), float(np.max(ys)))
     return sol.w_values(ys)
 
 
-def whittaker_uniform_ratio(eta: float, t: float, y: float,
-                            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def whittaker_uniform_ratio(eta: float, t: float, y: float) -> float:
     """|W_{eta,it}(y)| / (t^{eta-1/2} e^{-pi t/2} y^{1/2}).
 
     Bounded by a constant depending only on eta throughout 0 < y <= 1.5 t.
@@ -184,26 +171,24 @@ def whittaker_uniform_ratio(eta: float, t: float, y: float,
         raise ValueError("t must be >= 1")
     if not 0 < y <= 1.5 * t:
         raise ValueError("y must lie in (0, 1.5 t]")
-    w = whittaker_W(WhittakerParams(eta, 1j * t, y), spec)
+    w = whittaker_W(WhittakerParams(eta, 1j * t, y))
     denom = math.exp((eta - 0.5) * math.log(t) - 0.5 * math.pi * t + 0.5 * math.log(y))
     return abs(w) / denom
 
 
-def whittaker_uniform_ratio_grid(eta: float, t: float, ys,
-                                 spec: QuadratureSpec = DEFAULT_SPEC) -> np.ndarray:
+def whittaker_uniform_ratio_grid(eta: float, t: float, ys) -> np.ndarray:
     """whittaker_uniform_ratio over many y at one (eta, t): single solve."""
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     if t < 1:
         raise ValueError("t must be >= 1")
     if np.any(ys <= 0) or np.any(ys > 1.5 * t):
         raise ValueError("y must lie in (0, 1.5 t]")
-    ws = whittaker_W_grid(eta, 1j * t, ys, spec)
+    ws = whittaker_W_grid(eta, 1j * t, ys)
     denom = np.exp((eta - 0.5) * math.log(t) - 0.5 * math.pi * t + 0.5 * np.log(ys))
     return np.abs(ws) / denom
 
 
-def whittaker_lower_bound_check(eta: float, t: float, alpha: float,
-                                spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def whittaker_lower_bound_check(eta: float, t: float, alpha: float) -> float:
     """(int_{alpha t}^inf W_{eta,it}(4 pi y)^2 dy / y^2) / (t^{2 eta - 1} e^{-pi t})."""
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -217,8 +202,7 @@ def whittaker_lower_bound_check(eta: float, t: float, alpha: float,
     return integral / math.exp((2.0 * eta - 1.0) * math.log(t) - math.pi * t)
 
 
-def whittaker_l2_norm(eta: float, t: float, y_min: float = 3e-8,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def whittaker_l2_norm(eta: float, t: float, y_min: float = 3e-8) -> float:
     """int_0^inf W_{eta,it}(u)^2 du/u (scale-invariant, so the 4 pi in the
     usual normalization drops out).
 

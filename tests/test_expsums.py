@@ -64,6 +64,16 @@ class TestKloostermanNaive:
                 assert abs(grid[m, n] - kloosterman_naive(m, n, 12, 3, chi).value) < 1e-10
 
 
+@pytest.mark.parametrize("c", [0, -3, -4])
+def test_modulus_below_one_rejected(c):
+    # at c < 0 the unit table's square-and-multiply loop would never end
+    for evaluate in (lambda: kloosterman_naive(1, 1, c, 1, CHI4),
+                     lambda: kloosterman_factored(1, 1, c, 1, CHI4),
+                     lambda: salie_naive(1, 1, c, trivial_character(1))):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            evaluate()
+
+
 class TestSalie:
     def test_character_sum_vanishes(self):
         assert abs(salie_naive(0, 0, 7, trivial_character(7)).value) < 1e-12

@@ -1,25 +1,22 @@
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from theta_shift.harness.cli import main
-from theta_shift.harness.config import ExperimentConfig, item_rng
+from theta_shift.harness.cli import COMMANDS, _normalize_argv, _parser, main
 from theta_shift.harness.csvio import read_csv, write_csv
+from theta_shift.harness.suites import item_rng
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfig:
-    def test_unknown_command_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(command="frobnicate")
-
-    def test_seed_range(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(command="fit", seed=-1)
-
     def test_item_rng_deterministic(self):
         a = item_rng(42, 3).integers(0, 10**9)
         b = item_rng(42, 3).integers(0, 10**9)
@@ -79,10 +76,53 @@ class TestCli:
         val = float(read_csv(tmp_path / "specfun-whittaker.csv")[2][0][3])
         assert val == pytest.approx(np.exp(-1.0), rel=1e-10)
 
-    def test_whittaker_requires_one_parameter(self, tmp_path):
-        rc = main(["specfun", "whittaker", "--eta", "0.0",
-                   "--y", "2.0", "--out", str(tmp_path)])
+    def test_whittaker_requires_one_parameter(self, tmp_path, capsys):
+        for both in ([], ["--t", "1.0", "--mu", "0.5"]):
+            rc = main(["specfun", "whittaker", "--eta", "0.0",
+                       "--y", "2.0", "--out", str(tmp_path)] + both)
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: exactly one of --t / --mu")
+
+    def test_unknown_command_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_seed_range(self, tmp_path, capsys):
+        for seed in ("-1", str(2**64)):
+            with pytest.raises(SystemExit) as exc:
+                main(["theta-check", "--trials", "1", "--seed", seed, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "seed must fit in 64 bits" in capsys.readouterr().err
+        assert not (tmp_path / "theta-check.csv").exists()
+
+    def test_seed_range_edges_accepted(self, tmp_path):
+        for seed in ("0", str(2**64 - 1)):
+            assert main(["theta-check", "--trials", "1", "--seed", seed,
+                         "--out", str(tmp_path)]) == 0
+
+    def test_modulus_below_one_rejected(self, tmp_path, capsys):
+        for extra in (["--c", "-4"], ["--c", "0"], ["--c", "-3", "--salie", "--char-mod", "1"]):
+            rc = main(["expsum", "eval", "--m", "1", "--n", "1", "--out", str(tmp_path)] + extra)
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--n-omega", "--n-T"])
+    def test_oscillatory_map_empty_grid_rejected(self, tmp_path, capsys, flag):
+        rc = main(["oscillatory-map", flag, "0", "--out", str(tmp_path)])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: need n_omega >= 1 and n_T >= 1")
+
+    def test_readme_cli_block_matches_command_table(self):
+        block = re.search(r"## CLI\n\n```bash\n(.*?)```", README.read_text(), re.S).group(1)
+        lines = [ln.split("#")[0].strip() for ln in block.splitlines()
+                 if ln.startswith("theta-shift ")]
+        seen = set()
+        for line in lines:
+            args = _parser().parse_args(_normalize_argv(shlex.split(line)[1:]))
+            seen.add(args.name)
+        assert seen == set(COMMANDS)
 
     def test_bessel_grid(self, tmp_path):
         rc = main(["specfun", "bessel", "--t", "1.0", "--q", "2.0", "--q", "5.0",
