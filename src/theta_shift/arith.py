@@ -189,10 +189,6 @@ class DirichletCharacter:
         """The value table as a complex128 array."""
         return np.array(self.values, dtype=np.complex128)
 
-    def conj(self, d: int) -> complex:
-        v = self.values[d % self.modulus]
-        return v.conjugate() if isinstance(v, complex) else v
-
     def validate(self, exhaustive: bool = False) -> None:
         """Check the table is a genuine character (multiplicative, unit values).
 
@@ -335,19 +331,7 @@ def divisor_count(n: int) -> int:
     """tau(n), the number of positive divisors."""
     if n <= 0:
         raise ValueError("divisor_count needs n >= 1")
-    count = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            count *= e + 1
-        d += 1
-    if n > 1:
-        count *= 2
-    return count
+    return math.prod(e + 1 for _, e in factorize(n))
 
 
 def factorize(n: int) -> list:
@@ -365,6 +349,16 @@ def factorize(n: int) -> list:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def primes_upto(n: int) -> np.ndarray:
+    """The primes p <= n, ascending, by the sieve of Eratosthenes."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p:: p] = False
+    return np.nonzero(sieve)[0]
 
 
 def serialize_character(chi: DirichletCharacter) -> dict:

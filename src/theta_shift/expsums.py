@@ -167,8 +167,7 @@ def kloosterman_factored(m: int, n: int, c: int, ell: int, chi: DirichletCharact
 
 def verify_weil(m: int, n: int, c: int, ell: int, chi: DirichletCharacter) -> float:
     """|K| over its Weil-type bound; the contract is ratio <= 1 + tol."""
-    res = kloosterman_naive(m, n, c, ell, chi)
-    return abs(res.value) / res.bound
+    return kloosterman_naive(m, n, c, ell, chi).ratio
 
 
 def kloosterman_grid(c: int, ell: int, chi: DirichletCharacter) -> np.ndarray:

@@ -69,10 +69,8 @@ def _expsum_eval(args):
         fn = kloosterman_factored if args.factored else kloosterman_naive
         res = fn(args.m, args.n, args.c, args.ell, chi)
     rows = [(args.m, args.n, args.c, args.ell, chi.label,
-             res.value.real, res.value.imag, res.bound,
-             abs(res.value) / res.bound if res.bound else math.inf)]
-    lines = [f"value = {res.value:.12g}, bound = {res.bound:.6g}, "
-             f"ratio = {abs(res.value)/res.bound:.6f}"]
+             res.value.real, res.value.imag, res.bound, res.ratio)]
+    lines = [f"value = {res.value:.12g}, bound = {res.bound:.6g}, ratio = {res.ratio:.6f}"]
     return ["m", "n", "c", "ell", "char", "re", "im", "bound", "ratio"], rows, lines, True
 
 
@@ -165,6 +163,8 @@ def _fit(args):
 
 
 def _sym2(args):
+    if args.ymax <= 40:
+        raise ValueError(f"--ymax must exceed 40 (the fit starts at Y = 40), got {args.ymax}")
     f = _load(args.form, need_M=args.ymax**2)
     r_hat, quality = sym2_residue_estimate(
         f, np.unique(np.geomspace(40, args.ymax, 24).astype(int)))

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from ..arith import char_from_kronecker, trivial_character
+from ..arith import char_from_kronecker, primes_upto, trivial_character
 from ..expsums import (
     _phi,
     kloosterman_factored,
@@ -46,6 +46,11 @@ def item_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+
+
 def default_characters():
     return [
         trivial_character(4),
@@ -57,6 +62,7 @@ def default_characters():
 
 def verify_mult_suite(seed: int = 7, trials: int = 200, max_c: int = 10_000):
     """Factored evaluation equals direct summation, tuple by tuple."""
+    _check_trials(trials)
     chars = default_characters()
 
     def one(i):
@@ -84,6 +90,7 @@ def verify_mult_suite(seed: int = 7, trials: int = 200, max_c: int = 10_000):
 def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
                      exhaustive_max: int = 128):
     """Square-root cancellation bound for the twisted Kloosterman sums."""
+    _check_trials(trials)
     chars = [trivial_character(4), char_from_kronecker(12, 12)]
     rows = []
     t0 = time.time()
@@ -100,7 +107,7 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
         rng = item_rng(seed, i)
         m, n, c, ell, chi = random_admissible_tuple(rng, max_c, chars)
         res = kloosterman_naive(m, n, c, ell, chi)
-        return ("random", c, ell, chi.label, abs(res.value) / res.bound)
+        return ("random", c, ell, chi.label, res.ratio)
 
     rnd = [one(i) for i in range(trials)]
     rows.extend(rnd)
@@ -121,12 +128,7 @@ def salie_bound_suite(pmax: int = 5000, seed: int = 13, pairs_per_modulus: int =
     rows = []
     t0 = time.time()
     worst = 0.0
-    sieve = np.ones(pmax + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(pmax)) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    primes = [int(p) for p in np.nonzero(sieve)[0] if p % 2 == 1]
+    primes = [int(p) for p in primes_upto(pmax) if p % 2 == 1]
     idx = 0
     for p in primes:
         alpha = 1
@@ -341,6 +343,7 @@ def bessel_bound_suite(tol_constant: float = 2.0):
 def theta_suite(seed: int = 5, trials: int = 100, z: complex = 0.3 + 1.1j,
                 tol: float = 1e-8):
     """Weight-1/2 multiplier consistency on random level-4 matrices."""
+    _check_trials(trials)
     def one(i):
         rng = item_rng(seed, i)
         g = random_gamma0_matrix(rng)

@@ -1,5 +1,5 @@
 from .eta import eta7_cusp_form, eta_cubed_pair_coeffs
-from .forms import CuspForm, coeff_A, load_form, r1, save_form
+from .forms import CuspForm, load_form, r1, save_form
 from .residual import (
     remark_closed_form,
     remark_inner_product,
@@ -13,7 +13,6 @@ from .theta import random_gamma0_matrix, theta_series, theta_transform_residual
 __all__ = [
     "CuspForm",
     "ShiftedSumSeries",
-    "coeff_A",
     "dirichlet_D_h",
     "eta7_cusp_form",
     "eta_cubed_pair_coeffs",

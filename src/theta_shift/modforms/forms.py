@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arith import DirichletCharacter, char_from_kronecker, deserialize_character, trivial_character
+from ..arith import (
+    DirichletCharacter,
+    char_from_kronecker,
+    deserialize_character,
+    primes_upto,
+    trivial_character,
+)
 
 
 @dataclass(frozen=True)
@@ -57,26 +63,16 @@ class CuspForm:
 
     def A_array(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns)
-        if ns.min() < 1 or ns.max() > len(self.coeffs):
+        if ns.size and (ns.min() < 1 or ns.max() > len(self.coeffs)):
             raise IndexError(
                 f"coefficient range [1, {len(self.coeffs)}] exceeded "
                 f"(requested up to {int(ns.max())})")
         return self.coeffs[ns - 1] / ns.astype(np.float64) ** ((self.weight - 1) / 2.0)
 
 
-def coeff_A(f: CuspForm, n: int):
-    return f.A(n)
-
-
 def deligne_warnings(coeffs: np.ndarray, weight: int, limit: int = 20000) -> list:
     """Warn-level Deligne sanity |a(p)| <= 2 p^((k-1)/2) at primes p <= limit."""
-    m = min(len(coeffs), limit)
-    sieve = np.ones(m + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(m)) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    primes = np.nonzero(sieve)[0]
+    primes = primes_upto(min(len(coeffs), limit))
     if len(primes) == 0:
         return []
     vals = np.abs(coeffs[primes - 1])

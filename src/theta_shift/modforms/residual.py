@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..arith import DirichletCharacter, kronecker_array
+from ..arith import DirichletCharacter, factorize, kronecker_array
 from ..specfun.mellin import direct_G
 from .forms import CuspForm, r1
 
@@ -23,12 +23,7 @@ ZETA2 = math.pi * math.pi / 6.0
 
 
 def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
+    return all(e == 1 for _, e in factorize(n))
 
 
 def residual_conditions(f: CuspForm) -> list:
@@ -111,6 +106,8 @@ def sym2_residue_estimate(f: CuspForm, Y_grid) -> tuple:
     top = int(Y_grid[-1])
     if top * top > f.n_coeffs:
         raise IndexError(f"need a(n^2) to n={top}, i.e. M >= {top * top}")
+    if len(Y_grid) < 3:
+        raise ValueError(f"need at least 3 distinct Y for the log-slope fit, got {len(Y_grid)}")
     ns = np.arange(1, top + 1)
     terms = np.real(f.coeffs[ns * ns - 1]) / ns.astype(np.float64) ** f.weight
     P = np.cumsum(terms)

@@ -41,29 +41,27 @@ def shifted_sum(f: CuspForm, h: int, X_grid, one_sided: bool = False) -> Shifted
     if n_needed * n_needed + h > f.n_coeffs:
         raise IndexError(
             f"need coefficients to n^2+h = {n_needed**2 + h} > M = {f.n_coeffs}")
-    series = ShiftedSumSeries(h=h, one_sided=one_sided)
-    weight_half = 1.0 if one_sided else 2.0
-    total = (f.A(h) if h <= f.n_coeffs else 0.0)
-    n = 1
-    for X in X_grid:
-        # relative fuzz keeps jump points X = sqrt(n^2 + h) inclusive
-        lim = X * X * (1.0 + 8e-16) - h
-        while n * n <= lim:
-            total += weight_half * f.A(n * n + h)
-            n += 1
-        series.rows.append((float(X), float(np.real(total)) if np.iscomplexobj(f.coeffs) else float(total)))
-    return series
+    # relative fuzz keeps jump points X = sqrt(n^2 + h) inclusive
+    lim = X_grid * X_grid * (1.0 + 8e-16) - h
+    ns, cum = _partial_sums(f, h, math.isqrt(max(int(lim[-1]), 0)), one_sided)
+    vals = np.real(cum[np.searchsorted(ns * ns, lim, side="right")])
+    return ShiftedSumSeries(h=h, rows=list(zip(X_grid.tolist(), vals.tolist())),
+                            one_sided=one_sided)
+
+
+def _partial_sums(f: CuspForm, h: int, n_max: int, one_sided: bool):
+    """ns = 1..n_max and the running sums A(h), A(h) + w A(1 + h), ...,
+    accumulated left to right, so cum[j] is S after the terms n <= j."""
+    ns = np.arange(1, n_max + 1)
+    w = 1.0 if one_sided else 2.0
+    return ns, np.cumsum(np.concatenate(([f.A(h)], w * f.A_array(ns * ns + h))))
 
 
 def shifted_sum_scan(f: CuspForm, h: int, X_max: float, one_sided: bool = False):
     """S evaluated at every jump point n^2 + h <= X_max^2 (step function)."""
-    lim = int(X_max * X_max - h)
-    ns = np.arange(1, math.isqrt(max(lim, 0)) + 1)
-    vals = f.A_array(ns * ns + h)
-    w = 1.0 if one_sided else 2.0
-    cum = f.A(h) + w * np.cumsum(vals)
+    ns, cum = _partial_sums(f, h, math.isqrt(max(int(X_max * X_max - h), 0)), one_sided)
     xs = np.sqrt(ns.astype(np.float64) ** 2 + h)
-    return xs, cum
+    return xs, cum[1:]
 
 
 def dirichlet_D_h(f: CuspForm, h: int, s: complex, cutoff: int):

@@ -1,9 +1,10 @@
 """The two workhorse quadrature rules used across the kernel.
 
-Panel Gauss-Legendre for smooth-by-construction panels, and an
-alternating-tail rule (pi-length panels plus iterated averaging of the
-partial sums) for integrands that decay only through unit-frequency
-oscillation.
+This module owns the Gauss-Legendre panel rule: every panel integral in
+the library goes through `_panel_integrals`.  `gl_panels` sums the
+panels for smooth-by-construction integrands; `alternating_tail`
+(pi-length panels plus iterated averaging of the partial sums) serves
+integrands that decay only through unit-frequency oscillation.
 """
 
 from __future__ import annotations
@@ -21,15 +22,26 @@ def gl_nodes(n: int):
     return _GL_CACHE[n]
 
 
-def gl_panels(f, edges, n: int = 24) -> float:
-    """Sum of Gauss-Legendre panels over consecutive edge pairs (vectorized)."""
+def _panel_integrals(f, edges, n: int) -> np.ndarray:
+    """n-point Gauss-Legendre integral of f on each consecutive edge pair.
+
+    f is called once, on every node of every panel; it may be real or
+    complex valued.
+    """
     edges = np.asarray(edges, dtype=np.float64)
     x, w = gl_nodes(n)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     pts = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(pts), dtype=np.float64).reshape(len(mids), len(x))
-    return float(np.sum(halfs * (vals @ w)))
+    vals = np.asarray(f(pts))
+    vals = vals.astype(np.result_type(vals, np.float64), copy=False).reshape(len(mids), n)
+    return halfs * (vals @ w)
+
+
+def gl_panels(f, edges, n: int = 24):
+    """Sum of Gauss-Legendre panels over consecutive edge pairs (vectorized):
+    a float for real f, a complex for complex f."""
+    return np.sum(_panel_integrals(f, edges, n)).item()
 
 
 def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 600,
@@ -43,19 +55,13 @@ def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 60
     complex f.  For complex f the estimate is the spread's modulus, a
     float that bounds the spread of each part, so one pass serves both.
     """
-    x, w = gl_nodes(n)
     panels = []
     a = v0
     batch = 40
     best = None
     for _ in range(max_panels // batch):
         edges = a + period * np.arange(batch + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        pts = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-        vals = np.asarray(f(pts))
-        vals = vals.astype(np.result_type(vals, np.float64), copy=False).reshape(batch, n)
-        panels.extend((halfs * (vals @ w)).tolist())
+        panels.extend(_panel_integrals(f, edges, n).tolist())
         a = edges[-1]
         s = np.cumsum(panels)
         lev = min(levels, len(s) - 2)

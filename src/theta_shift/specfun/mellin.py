@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..quadrature import gl_nodes
+from ..quadrature import gl_panels
 from .gammafun import log_gamma_vec
 from .whittaker import whittaker_solution
 
@@ -78,12 +78,7 @@ def mellin_barnes_G(n1: int, n2: int, m: int, k: int, t: complex, re_w: float) -
         np.linspace(tt + 2.0, v_max, max(8, int(v_max - tt))),
     ])
     edges = np.unique(edges)
-    x, wts = gl_nodes(32)
-    total = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        total += half * np.sum(wts * integrand(mid + half * x))
-    return complex(total.real / math.pi, 0.0)
+    return complex(gl_panels(integrand, edges, 32).real / math.pi, 0.0)
 
 
 def direct_G(n1: int, n2: int, m: int, k: int, t: complex) -> float:
@@ -105,12 +100,7 @@ def direct_G(n1: int, n2: int, m: int, k: int, t: complex) -> float:
         w = sol.w_values(a * ys)
         return ys ** (nu - 1.0) * np.exp(-p * ys) * w
 
-    x, wts = gl_nodes(32)
     # log-spaced panels near 0 (integrand ~ y^{nu - 1/2}), linear past 1/decay
-    edges = list(np.geomspace(y_lo, 1.0 / decay, 12)) + list(
-        np.linspace(1.0 / decay, y_hi, 40)[1:])
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        total += half * float(np.sum(wts * f(mid + half * x)))
-    return total
+    edges = np.concatenate([np.geomspace(y_lo, 1.0 / decay, 12),
+                            np.linspace(1.0 / decay, y_hi, 40)[1:]])
+    return gl_panels(f, edges, 32)

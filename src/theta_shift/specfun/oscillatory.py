@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from ..quadrature import alternating_tail, gl_nodes, gl_panels
+from ..quadrature import alternating_tail, gl_panels
 from .besselj import bessel_J_imag_order
 from .gammafun import log_gamma
 from .incgamma import im_upper_gamma_imag_axis
@@ -71,14 +71,9 @@ def _j_moment_panels(kappa: float, t: float, a: float, b: float) -> complex:
     while x < b:
         x = min(x + 1.0, b)
         edges.append(x)
-    nodes, weights = gl_nodes(24)
-    total = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        pts = mid + half * nodes
-        vals = np.array([bessel_J_imag_order(t, q) for q in pts])
-        total += half * np.sum(weights * vals * pts ** (kappa - 1.0))
-    return complex(total)
+    return complex(gl_panels(
+        lambda q: np.array([bessel_J_imag_order(t, qq) for qq in q]) * q ** (kappa - 1.0),
+        edges, 24))
 
 
 def _j_moment_tail(kappa: float, t: float, omega: float) -> complex:
@@ -122,16 +117,9 @@ def g_kappa_t(kappa: float, omega: float, T: float) -> float:
         raise ValueError("T must be nonnegative")
     if T == 0:
         return 0.0
-    nodes, weights = gl_nodes(16)
     n_panels = max(3, int(math.ceil(T * 2)))
-    edges = np.linspace(0.0, T, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        for x, w in zip(nodes, weights):
-            tt = mid + half * x
-            total += half * w * tt * I_kappa(kappa, omega, tt)
-    return total
+    return gl_panels(lambda ts: np.array([tt * I_kappa(kappa, omega, tt) for tt in ts]),
+                     np.linspace(0.0, T, n_panels + 1), 16)
 
 
 def g_kappa(kappa: float, omega: float, T: float) -> float:

@@ -51,11 +51,6 @@ class WhittakerParams:
         if self.y <= 0:
             raise ValueError(f"argument must be positive, got y={self.y}")
 
-    @property
-    def mu2(self) -> float:
-        mu = complex(self.mu)
-        return mu.real**2 - mu.imag**2
-
 
 def _asymptotic_v(eta: float, mu2: float, y0: float):
     """Tail series v ~ sum a_s y^-s and its derivative at y0, or None if the
@@ -152,8 +147,7 @@ def whittaker_W(p: WhittakerParams) -> float:
             f"W requested at y={p.y} < {_Y_TINY}; accuracy degraded",
             AccuracyWarning,
         )
-    sol = whittaker_solution(p.eta, p.mu, p.y, p.y)
-    return float(sol.w_values(p.y)[0])
+    return float(whittaker_W_grid(p.eta, p.mu, p.y)[0])
 
 
 def whittaker_W_grid(eta: float, mu: complex, ys) -> np.ndarray:
@@ -167,13 +161,7 @@ def whittaker_uniform_ratio(eta: float, t: float, y: float) -> float:
 
     Bounded by a constant depending only on eta throughout 0 < y <= 1.5 t.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not 0 < y <= 1.5 * t:
-        raise ValueError("y must lie in (0, 1.5 t]")
-    w = whittaker_W(WhittakerParams(eta, 1j * t, y))
-    denom = math.exp((eta - 0.5) * math.log(t) - 0.5 * math.pi * t + 0.5 * math.log(y))
-    return abs(w) / denom
+    return float(whittaker_uniform_ratio_grid(eta, t, y)[0])
 
 
 def whittaker_uniform_ratio_grid(eta: float, t: float, ys) -> np.ndarray:
@@ -181,7 +169,7 @@ def whittaker_uniform_ratio_grid(eta: float, t: float, ys) -> np.ndarray:
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     if t < 1:
         raise ValueError("t must be >= 1")
-    if np.any(ys <= 0) or np.any(ys > 1.5 * t):
+    if not np.all((ys > 0) & (ys <= 1.5 * t)):
         raise ValueError("y must lie in (0, 1.5 t]")
     ws = whittaker_W_grid(eta, 1j * t, ys)
     denom = np.exp((eta - 0.5) * math.log(t) - 0.5 * math.pi * t + 0.5 * np.log(ys))

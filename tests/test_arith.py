@@ -17,6 +17,7 @@ from theta_shift.arith import (
     inverse_mod,
     kronecker,
     kronecker_array,
+    primes_upto,
     serialize_character,
     trivial_character,
     unit_table,
@@ -283,3 +284,13 @@ def test_divisor_count():
     assert divisor_count(4) == 3
     assert divisor_count(28) == 6
     assert divisor_count(5000) == 20
+    for n in range(1, 400):
+        assert divisor_count(n) == sum(1 for d in range(1, n + 1) if n % d == 0)
+    with pytest.raises(ValueError):
+        divisor_count(0)
+
+
+def test_primes_upto():
+    for n in (0, 1, 2, 3, 10, 97, 300):
+        direct = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert primes_upto(n).tolist() == direct

@@ -108,6 +108,21 @@ class TestCli:
             assert rc == 2
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["theta-check"], ["expsum", "sweep"], ["verify-mult"]])
+    def test_zero_trials_rejected(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--trials", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: need trials >= 1, got 0")
+
+    @pytest.mark.parametrize("ymax", ["10", "40"])
+    def test_sym2_ymax_at_most_fit_start_rejected(self, tmp_path, capsys, ymax):
+        rc = main(["sym2", "--form", "eta7", "--ymax", ymax, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --ymax must exceed 40")
+        assert f"got {ymax}" in err
+
     @pytest.mark.parametrize("flag", ["--n-omega", "--n-T"])
     def test_oscillatory_map_empty_grid_rejected(self, tmp_path, capsys, flag):
         rc = main(["oscillatory-map", flag, "0", "--out", str(tmp_path)])
@@ -171,10 +186,19 @@ class TestCli:
          "2c97301747fce571d6489a7be9e587423547920181a1d57ace3216298f592a8e"),
         (["salie-bounds", "--pmax", "200"], "salie-bounds",
          "ccd7ea5db271df7f33c79c613a4312b04e20e799a0a15d443c6e0e8c6b04f3a2"),
-    ], ids=["expsum-sweep", "verify-mult", "salie-bounds"])
+        (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "4", "--xmax", "512"],
+         "shifted-sum", "41bd6b415a788ea97da91ee41f87a6dc77605cfa5de233eb4a20c5dcea73b335"),
+        (["specfun", "whittaker", "--eta", "1.25", "--t", "2", "--y", "3.0", "--y", "1.0"],
+         "specfun-whittaker", "b3197407ccdd9a27f0e4a47399386d4d97b16fa2054e4e21ba2ff6473db6a0c3"),
+        (["oscillatory-map", "--n-omega", "2", "--n-T", "2"], "oscillatory-map",
+         "26bcdeef27f1216e79983a638123eea9ee7475256eb2ccefe3b25e96bb5aa9f0"),
+    ], ids=["expsum-sweep", "verify-mult", "salie-bounds", "shifted-sum", "specfun-whittaker",
+            "oscillatory-map"])
     def test_expsum_artifacts_unchanged(self, tmp_path, argv, name, digest):
-        # SHA-256 of the CSVs written by the per-element table loops that the
-        # vectorized tables replaced (numpy 2.4, x86-64)
+        # SHA-256 of CSVs recorded before a rewrite of the code that computes
+        # them (numpy 2.4, x86-64): the per-element table loops (expsums), the
+        # per-term shifted-sum loop, the scalar Whittaker point path and the
+        # per-panel Gauss-Legendre loops (oscillatory kernel)
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
 

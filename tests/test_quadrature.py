@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from theta_shift.quadrature import alternating_tail
+from theta_shift.quadrature import alternating_tail, gl_panels
 
 
 @pytest.mark.parametrize("v0", [0.5, 2.0, 7.3, 40.0])
@@ -23,3 +23,18 @@ def test_real_tail_returns_python_float():
     assert type(val) is float
     assert type(err) is float
     assert val == pytest.approx(-ci, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_panels_complex_integrand(n):
+    # int_0^3 e^{(1+2i)x} dx = (e^{3(1+2i)} - 1) / (1+2i), over uneven panels
+    z = 1 + 2j
+    val = gl_panels(lambda x: np.exp(z * x), [0.0, 0.4, 1.0, 2.2, 3.0], n)
+    assert type(val) is complex
+    assert abs(val - (np.exp(3 * z) - 1) / z) <= 1e-12 * abs(val)
+
+
+def test_panels_real_integrand_returns_python_float():
+    val = gl_panels(np.sin, np.linspace(0.0, math.pi, 5))
+    assert type(val) is float
+    assert val == pytest.approx(2.0, abs=1e-14)

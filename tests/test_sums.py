@@ -45,9 +45,9 @@ class TestShiftedSum:
 
     def test_incremental_equals_scan(self, eta7_small):
         f = eta7_small
-        xs, cum = shifted_sum_scan(f, 3, 60.0)
-        grid_vals = shifted_sum(f, 3, xs).values()
-        assert np.allclose(grid_vals, cum, rtol=0, atol=1e-12)
+        for h in (1, 3, 7):
+            xs, cum = shifted_sum_scan(f, h, 540.0)
+            assert np.array_equal(shifted_sum(f, h, xs).values(), cum)
 
     def test_step_function_constant_between_jumps(self, eta7_small):
         f = eta7_small
@@ -141,6 +141,11 @@ class TestSym2Estimate:
     def test_coefficient_shortage(self, eta7_small):
         with pytest.raises(IndexError):
             sym2_residue_estimate(eta7_small, np.array([10, 10**5]))
+
+    @pytest.mark.parametrize("grid", [[40], [40, 90]])
+    def test_fewer_than_three_points_rejected(self, eta7_small, grid):
+        with pytest.raises(ValueError, match="at least 3 distinct Y"):
+            sym2_residue_estimate(eta7_small, np.array(grid))
 
 
 class TestResidualConstant:
