@@ -6,7 +6,7 @@ into single subcommands, so both spellings work.  Each command is one
 row of `COMMANDS`; a handler returns (header, rows, lines, ok), and a
 command with a header writes a schema-versioned CSV.  Every run prints
 a human-readable summary; the exit status is 1 iff a hard assertion
-fails and 2 on bad input.
+fails and 2 on bad input or a failed solve.
 """
 
 from __future__ import annotations
@@ -145,6 +145,10 @@ def _theta_check(args):
 
 
 def _shifted_sum(args):
+    if args.xmin < 1:
+        raise ValueError(f"--xmin must be at least 1, got {args.xmin:g}")
+    if args.xmin > args.xmax:
+        raise ValueError(f"--xmin must not exceed --xmax, got {args.xmin:g} > {args.xmax:g}")
     lo = int(math.log2(args.xmin))
     hi = int(math.log2(args.xmax))
     f = _load(args.form, need_M=int(args.xmax) ** 2 + args.h)
@@ -280,7 +284,7 @@ def main(argv=None) -> int:
             path = os.path.join(args.out, f"{args.name}.csv")
             write_csv(path, args.name, args.seed, header, rows)
             lines = lines + [f"artifact: {path}"]
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in lines:

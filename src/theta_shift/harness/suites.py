@@ -125,6 +125,8 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
 
 def salie_bound_suite(pmax: int = 5000, seed: int = 13, pairs_per_modulus: int = 40):
     """Prime-power bound for the quadratic-twisted sums at odd moduli."""
+    if pmax < 2:
+        raise ValueError(f"--pmax must be at least 2, got {pmax}")
     rows = []
     t0 = time.time()
     worst = 0.0

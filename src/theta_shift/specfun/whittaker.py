@@ -13,6 +13,26 @@ series reaches machine accuracy before its divergent stage; inward
 integration is stable because the contaminating solution decays in that
 direction.  One solve serves many targets, and the squared-integral
 functionals ride along as extra quadrature states.
+
+The start y0 grows like 4 |mu|^2, far above where W turns (near 2 |mu|)
+and oscillates.  The solve runs in two legs split at
+
+    y_join = max(3 |mu|, 1.1 y_top + 10),
+
+y_top being the largest target:
+
+* upper leg, y0 -> y_join: LSODA (stiff-capable) over the smooth
+  stretch where an explicit method is held back by the equation's
+  unit-rate decaying mode.  The quadrature states are carried scaled,
+  Q_k = e^y S_k with S_k(y) = -int_y^inf u^{2 eta - k} e^{-u} v^2 du,
+  so Q_k' = Q_k + y^{2 eta - k} v^2.  Q_k starts on its slow
+  (asymptotic) solution, so the tail beyond y0 is in the state, not
+  estimated, and its unit-rate fast mode decays inward;
+* lower leg, y_join -> y_end: DOP853 with dense output, where the
+  targets are.
+
+When y_join >= y0 the DOP853 leg alone runs from y0, with a crude
+e^{-y0} estimate for the quadrature tails.
 """
 
 from __future__ import annotations
@@ -28,6 +48,7 @@ from scipy.integrate import solve_ivp
 from .gammafun import digamma, log_gamma
 
 _RTOL = 1e-12
+_RTOL_UPPER = 1e-13
 _Y_TINY = 1e-6
 
 
@@ -81,33 +102,27 @@ def _start_point(eta: float, mu2: float, y_max_target: float) -> float:
 
 @dataclass
 class WhittakerSolution:
-    """Dense inward solution of the scaled equation over [y_end, y0]."""
+    """Dense inward solution of the scaled equation over [y_end, dense_top]."""
 
     eta: float
     mu2: float
-    y0: float
+    dense_top: float
     y_end: float
     _dense: object
-    tail_l2_w: float   # int_{y0}^inf W^2 dy/y  estimate
-    tail_l2_w2: float  # int_{y0}^inf W^2 dy/y^2 estimate
+    tail_l2_w: float   # int_{dense_top}^inf W^2 dy/y  not carried in the state
+    tail_l2_w2: float  # int_{dense_top}^inf W^2 dy/y^2 not carried in the state
 
     def w_values(self, ys) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
         slack = 1e-9 * max(1.0, self.y_end)
-        if np.any(ys < self.y_end - slack) or np.any(ys > self.y0):
+        if np.any(ys < self.y_end - slack) or np.any(ys > self.dense_top):
             raise ValueError("target outside solved range")
         vals = self._dense(ys)[0]
         return np.exp(-0.5 * ys + self.eta * np.log(ys)) * vals
 
 
-@lru_cache(maxsize=256)
-def _solve_scaled(eta: float, mu2: float, y_end: float, y_top: float) -> WhittakerSolution:
-    y0 = _start_point(eta, mu2, y_top)
-    start = _asymptotic_v(eta, mu2, y0)
-    while start is None:
-        y0 *= 1.5
-        start = _asymptotic_v(eta, mu2, y0)
-    coeff = (eta - 0.5) ** 2 - mu2
+def _rhs(eta: float, coeff: float):
+    """Scaled equation plus the two quadrature states (int W^2 dy/y^k, k = 1, 2)."""
 
     def rhs(y, s):
         v, dv, _, _ = s
@@ -117,18 +132,58 @@ def _solve_scaled(eta: float, mu2: float, y_end: float, y_top: float) -> Whittak
                 w2 / y,
                 w2 / (y * y))
 
-    sol = solve_ivp(
-        rhs, (y0, y_end), [start[0], start[1], 0.0, 0.0],
-        method="DOP853", rtol=_RTOL, atol=1e-280, dense_output=True,
-        first_step=y0 * 1e-3,
-    )
+    return rhs
+
+
+def _rhs_upper(eta: float, coeff: float):
+    """_rhs with the quadrature states carried as Q_k = e^y S_k."""
+
+    def rhs(y, s):
+        v, dv, q1, q2 = s
+        f = math.exp(2.0 * eta * math.log(y)) * v * v
+        return (dv,
+                (1.0 - 2.0 * eta / y) * dv - coeff / (y * y) * v,
+                q1 + f / y,
+                q2 + f / (y * y))
+
+    return rhs
+
+
+def _leg(rhs, y_start: float, y_stop: float, state, **opts):
+    sol = solve_ivp(rhs, (y_start, y_stop), state, **opts)
     if not sol.success:
         raise RuntimeError(f"Whittaker integration failed: {sol.message}")
-    # crude upper tail estimates from W ~ e^{-y/2} y^eta above y0
-    tail_w = math.exp(-y0 + (2 * eta - 1.0) * math.log(y0)) * 2.0
-    tail_w2 = math.exp(-y0 + (2 * eta - 2.0) * math.log(y0)) * 2.0
-    dense = sol.sol
-    return WhittakerSolution(eta, mu2, y0, y_end, dense, tail_w, tail_w2)
+    return sol
+
+
+@lru_cache(maxsize=256)
+def _solve_scaled(eta: float, mu2: float, y_end: float, y_top: float) -> WhittakerSolution:
+    y0 = _start_point(eta, mu2, y_top)
+    start = _asymptotic_v(eta, mu2, y0)
+    while start is None:
+        y0 *= 1.5
+        start = _asymptotic_v(eta, mu2, y0)
+    v0, dv0 = start
+    coeff = (eta - 0.5) ** 2 - mu2
+    y_join = max(3.0 * math.sqrt(abs(mu2)), 1.1 * y_top + 10.0)
+    if y_join < y0:
+        # Q_k on its slow solution: -f_k (1 + f_k'/f_k), f_k = y^{2 eta - k} v^2
+        q0 = [-(y0 ** (2.0 * eta - k)) * v0 * v0
+              * (1.0 + (2.0 * eta - k) / y0 + 2.0 * dv0 / v0) for k in (1, 2)]
+        up = _leg(_rhs_upper(eta, coeff), y0, y_join, [v0, dv0, *q0],
+                  method="LSODA", rtol=_RTOL_UPPER, atol=1e-280, first_step=1e-3)
+        v, dv, q1, q2 = up.y[:, -1]
+        scale = math.exp(-y_join)
+        y_start, state = y_join, [v, dv, q1 * scale, q2 * scale]
+        tail_w = tail_w2 = 0.0  # carried in the states
+    else:
+        # crude upper tail estimates from W ~ e^{-y/2} y^eta above y0
+        y_start, state = y0, [v0, dv0, 0.0, 0.0]
+        tail_w = math.exp(-y0 + (2 * eta - 1.0) * math.log(y0)) * 2.0
+        tail_w2 = math.exp(-y0 + (2 * eta - 2.0) * math.log(y0)) * 2.0
+    low = _leg(_rhs(eta, coeff), y_start, y_end, state, method="DOP853", rtol=_RTOL,
+               atol=1e-280, dense_output=True, first_step=y_start * 1e-3)
+    return WhittakerSolution(eta, mu2, y_start, y_end, low.sol, tail_w, tail_w2)
 
 
 def _mu2_of(mu: complex) -> float:
@@ -226,18 +281,12 @@ def whittaker_ode_residual_probe(eta: float, mu: complex, y_lo: float, y_hi: flo
     """
     rng = np.random.default_rng(seed)
     sol = whittaker_solution(eta, mu, y_lo, y_hi)
-    mu2 = _mu2_of(mu)
-    coeff = (eta - 0.5) ** 2 - mu2
-
-    def rhs(y, s):
-        return (s[1], (1.0 - 2.0 * eta / y) * s[1] - coeff / (y * y) * s[0])
-
+    rhs = _rhs(eta, (eta - 0.5) ** 2 - _mu2_of(mu))
     worst = 0.0
-    ys = rng.uniform(y_lo, min(y_hi, sol.y0 * 0.9), size=n_points)
+    ys = rng.uniform(y_lo, min(y_hi, sol.dense_top * 0.9), size=n_points)
     for ya in ys:
-        yb = min(ya * 1.05 + 1e-3, sol.y0)
-        va, dva = sol._dense(ya)[:2]
-        check = solve_ivp(rhs, (ya, yb), [va, dva], method="Radau",
+        yb = min(ya * 1.05 + 1e-3, sol.dense_top)
+        check = solve_ivp(rhs, (ya, yb), sol._dense(ya), method="Radau",
                           rtol=1e-10, atol=1e-280)
         vb_ref = sol._dense(yb)[0]
         vb_got = check.y[0, -1]

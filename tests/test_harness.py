@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from theta_shift.harness.cli import COMMANDS, _normalize_argv, _parser, main
 from theta_shift.harness.csvio import read_csv, write_csv
 from theta_shift.harness.suites import item_rng
+from theta_shift.specfun import whittaker
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -129,6 +131,37 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: need n_omega >= 1 and n_T >= 1")
 
+    @pytest.mark.parametrize("xmin, xmax, message", [
+        ("0", "512", "--xmin must be at least 1, got 0"),
+        ("0.5", "512", "--xmin must be at least 1, got 0.5"),
+        ("600", "512", "--xmin must not exceed --xmax, got 600 > 512"),
+    ])
+    def test_shifted_sum_bad_window_rejected(self, tmp_path, capsys, xmin, xmax, message):
+        rc = main(["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", xmin,
+                   "--xmax", xmax, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "shifted-sum.csv").exists()
+
+    @pytest.mark.parametrize("pmax", ["-5", "0", "1"])
+    def test_salie_bounds_pmax_below_two_rejected(self, tmp_path, capsys, pmax):
+        rc = main(["salie-bounds", "--pmax", pmax, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --pmax must be at least 2, got {pmax}\n"
+
+    def test_failed_whittaker_solve_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        def failing_solve(*args, **kwargs):
+            return SimpleNamespace(success=False, message="Required step size is too small.")
+
+        whittaker._solve_scaled.cache_clear()  # a cached solve would not reach solve_ivp
+        monkeypatch.setattr(whittaker, "solve_ivp", failing_solve)
+        rc = main(["specfun", "whittaker", "--eta", "1.25", "--t", "2",
+                   "--y", "3.0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: Whittaker integration failed: Required step size is too small.\n")
+        assert not (tmp_path / "specfun-whittaker.csv").exists()
+
     def test_readme_cli_block_matches_command_table(self):
         block = re.search(r"## CLI\n\n```bash\n(.*?)```", README.read_text(), re.S).group(1)
         lines = [ln.split("#")[0].strip() for ln in block.splitlines()
@@ -189,7 +222,7 @@ class TestCli:
         (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "4", "--xmax", "512"],
          "shifted-sum", "41bd6b415a788ea97da91ee41f87a6dc77605cfa5de233eb4a20c5dcea73b335"),
         (["specfun", "whittaker", "--eta", "1.25", "--t", "2", "--y", "3.0", "--y", "1.0"],
-         "specfun-whittaker", "b3197407ccdd9a27f0e4a47399386d4d97b16fa2054e4e21ba2ff6473db6a0c3"),
+         "specfun-whittaker", "391fe66504f3be89557ca116cddcea18852d3ef01f9d9f7b9665105a2689fe64"),
         (["oscillatory-map", "--n-omega", "2", "--n-T", "2"], "oscillatory-map",
          "26bcdeef27f1216e79983a638123eea9ee7475256eb2ccefe3b25e96bb5aa9f0"),
     ], ids=["expsum-sweep", "verify-mult", "salie-bounds", "shifted-sum", "specfun-whittaker",

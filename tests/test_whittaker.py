@@ -70,6 +70,13 @@ class TestNormIdentity:
         cf = whittaker_norm_closed_form(eta, t)
         assert q == pytest.approx(cf, rel=1e-6)
 
+    @pytest.mark.parametrize("eta", [1.25, -1.25])
+    def test_quadrature_vs_closed_form_t40(self, eta):
+        # start near 4 t^2 = 6400, so most of the solve is the upper leg
+        q = whittaker_l2_norm(eta, 40.0)
+        cf = whittaker_norm_closed_form(eta, 40.0)
+        assert q == pytest.approx(cf, rel=1e-6)
+
 
 class TestUniformRatio:
     def test_matches_scalar(self):
@@ -117,6 +124,12 @@ class TestLowerBound:
         big = whittaker_lower_bound_check(1.25, t, 0.5 / (8 * math.pi))
         small = whittaker_lower_bound_check(1.25, t, 1.0 / (8 * math.pi))
         assert big >= small
+
+    def test_pinned_value(self):
+        # the value of one DOP853 leg from y0 = 3606 with the crude e^{-y0} tails;
+        # the LSODA leg down to the join at 3t = 90 must reproduce it
+        v = whittaker_lower_bound_check(-1.25, 30.0, 1.0 / (8 * math.pi))
+        assert v == pytest.approx(25.55578817564735, rel=1e-10)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
