@@ -121,8 +121,7 @@ def _specfun_whittaker(args):
 def _specfun_bessel(args):
     rows = []
     for t in args.t:
-        for q in args.q:
-            v = bessel_J_imag_order(t, q)
+        for q, v in zip(args.q, bessel_J_imag_order(t, args.q)):
             rows.append((t, q, v.real, v.imag))
     lines = [f"J_(2*{t}i)({q}) = {re:.12e} + {im:.12e} i" for t, q, re, im in rows]
     return ["t", "q", "re", "im"], rows, lines, True
@@ -149,8 +148,11 @@ def _shifted_sum(args):
         raise ValueError(f"--xmin must be at least 1, got {args.xmin:g}")
     if args.xmin > args.xmax:
         raise ValueError(f"--xmin must not exceed --xmax, got {args.xmin:g} > {args.xmax:g}")
-    lo = int(math.log2(args.xmin))
+    lo = math.ceil(math.log2(args.xmin))
     hi = int(math.log2(args.xmax))
+    if lo > hi:
+        raise ValueError(f"no power of two lies in [--xmin, --xmax] = "
+                         f"[{args.xmin:g}, {args.xmax:g}]")
     f = _load(args.form, need_M=int(args.xmax) ** 2 + args.h)
     _, rows = suites.shifted_sum_experiment(
         f, args.h, x_lo_exp=lo, x_hi_exp=hi, one_sided=args.one_sided)

@@ -326,8 +326,7 @@ def bessel_bound_suite(tol_constant: float = 2.0):
     c_abs = 0.0
     c_diff = 0.0
     for t in ts:
-        for q in qs:
-            J = bessel_J_imag_order(t, q)
+        for q, J in zip(qs, bessel_J_imag_order(t, qs)):
             env = min(q ** -0.5, 1.0 + abs(math.log(q)))
             ra = abs(J) / (math.cosh(math.pi * t) * env)
             rd = 2.0 * abs(J.imag) / (abs(math.sinh(math.pi * t)) * env)

@@ -54,11 +54,13 @@ def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 60
     complex valued: the value is a float for real f and a complex for
     complex f.  For complex f the estimate is the spread's modulus, a
     float that bounds the spread of each part, so one pass serves both.
+    Raises RuntimeError when max_panels are spent with the estimate
+    still at or above tol.
     """
     panels = []
     a = v0
     batch = 40
-    best = None
+    est = math.inf
     for _ in range(max_panels // batch):
         edges = a + period * np.arange(batch + 1)
         panels.extend(_panel_integrals(f, edges, n).tolist())
@@ -68,7 +70,8 @@ def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 60
         for _ in range(lev):
             s = 0.5 * (s[:-1] + s[1:])
         est = abs(s[-1] - s[-3]) + abs(s[-1] - s[-2]) if len(s) >= 3 else math.inf
-        best = (s[-1].item(), float(est))
         if est < tol:
-            break
-    return best
+            return s[-1].item(), float(est)
+    raise RuntimeError(
+        f"alternating tail from v0={v0:g} unconverged after {max_panels} panels: "
+        f"error estimate {est:.3e} >= tol {tol:g}")

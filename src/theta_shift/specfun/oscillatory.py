@@ -61,6 +61,11 @@ def _j_moment_head(kappa: float, t: float, q0: float) -> complex:
     return complex(total)
 
 
+def _j_moment_integrand(kappa: float, t: float):
+    """q -> J_{2it}(q) q^(kappa-1) on a node array, one J call per batch."""
+    return lambda q: bessel_J_imag_order(t, q) * q ** (kappa - 1.0)
+
+
 def _j_moment_panels(kappa: float, t: float, a: float, b: float) -> complex:
     """int_a^b J_{2it}(q) q^(kappa-1) dq on geometric-then-unit panels."""
     edges = [a]
@@ -71,16 +76,12 @@ def _j_moment_panels(kappa: float, t: float, a: float, b: float) -> complex:
     while x < b:
         x = min(x + 1.0, b)
         edges.append(x)
-    return complex(gl_panels(
-        lambda q: np.array([bessel_J_imag_order(t, qq) for qq in q]) * q ** (kappa - 1.0),
-        edges, 24))
+    return complex(gl_panels(_j_moment_integrand(kappa, t), edges, 24))
 
 
 def _j_moment_tail(kappa: float, t: float, omega: float) -> complex:
     """int_omega^inf J_{2it}(q) q^(kappa-1) dq, oscillation-accelerated."""
-    val, _ = alternating_tail(
-        lambda q: np.array([bessel_J_imag_order(t, qq) for qq in q]) * q ** (kappa - 1.0),
-        omega, max_panels=320, n=12)
+    val, _ = alternating_tail(_j_moment_integrand(kappa, t), omega, max_panels=320, n=12)
     return val
 
 

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from theta_shift.specfun import besselj
 from theta_shift.specfun.besselj import bessel_J_imag_order
 
 mp.mp.dps = 30
@@ -22,6 +23,47 @@ class TestBesselJ:
             bessel_J_imag_order(1.0, 0.0)
         with pytest.raises(ValueError):
             bessel_J_imag_order(1.0, -2.0)
+        for bad in (0.0, -2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="argument must be positive and finite"):
+                bessel_J_imag_order(1.0, np.array([[3.0, 20.0], [bad, 50.0]]))
+
+    def test_array_equals_elementwise_across_branches(self, rng):
+        # series (q <= 14), Hankel (12 t^2 <= q) and mpmath (14 < q < 12 t^2)
+        # interleaved in one 2-D array
+        for t in (0.0, 0.5, -1.1, 3.0):
+            q = rng.permutation(np.concatenate([
+                np.geomspace(1e-3, 14.0, 25), np.linspace(14.01, 12 * t * t, 6)[1:-1],
+                np.geomspace(max(12 * t * t, 14.01), 400.0, 15)]))
+            q = q[: q.size - q.size % 2].reshape(2, -1)
+            got = bessel_J_imag_order(t, q)
+            assert got.shape == q.shape and got.dtype == np.complex128
+            each = np.array([[bessel_J_imag_order(t, float(v)) for v in row] for row in q])
+            assert np.array_equal(got, each)
+
+    def test_return_types(self):
+        for q in (2.0, 30.0, np.float64(30.0), np.array(30.0), 5):
+            assert type(bessel_J_imag_order(1.3, q)) is complex
+        for q in ([2.0, 30.0], np.array([2.0]), np.ones((2, 3))):
+            got = bessel_J_imag_order(1.3, q)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(q)
+            assert got.dtype == np.complex128
+
+    def test_mpmath_only_between_series_and_hankel(self, monkeypatch):
+        seen = []
+        real_besselj = mp.besselj
+
+        def spy(nu, z):
+            seen.append((float(mp.im(nu)) / 2.0, float(z)))
+            return real_besselj(nu, z)
+
+        monkeypatch.setattr(mp, "besselj", spy)
+        expected = []
+        for t in (0.2, 1.0, 1.5, 4.0):
+            q = np.concatenate([np.linspace(0.5, 14.0, 9), np.geomspace(14.001, 300.0, 25)])
+            bessel_J_imag_order(t, q)
+            expected += [(t, float(v)) for v in q if 14.0 < v < 12.0 * t * t]
+        assert seen == expected
+        assert len(expected) > 0
 
     def test_conjugate_symmetry_random(self, rng):
         # J_{-2it}(q) = conj(J_{2it}(q)), termwise in the series
@@ -33,16 +75,42 @@ class TestBesselJ:
             assert abs(a.conjugate() - b) <= 1e-10 * max(abs(a), 1e-12)
 
     def test_against_reference(self):
-        # the last two points sit on the Hankel edge 16 t^2 = q just above
-        # q = 14, where its optimal truncation is worst
+        # the extra points sit just above q = 14 on the old Hankel edge
+        # 16 t^2 = q and on the current one 12 t^2 = q, where its optimal
+        # truncation is worst
         points = [(t, q) for t in (0.0, 0.05, 0.5, 1.0, 2.0, 5.0)
                   for q in (1e-3, 0.3, 2.0, 13.9, 14.1, 24.9, 25.1, 40.0, 200.0)]
+        edge = [(t, 12.0 * t * t) for t in (1.081, 1.09, 1.2, 1.5, 2.0, 3.0)]
         worst = 0.0
-        for t, q in points + [(0.93, 14.01), (1.2, 23.1)]:
+        for t, q in points + [(0.93, 14.01), (1.2, 23.1)] + edge:
             got = bessel_J_imag_order(t, q)
             ref = complex(mp.besselj(2j * mp.mpf(t), mp.mpf(q)))
             worst = max(worst, abs(got - ref) / max(abs(ref), 1e-30))
         assert worst <= 1e-8
+
+    def test_hankel_edge_band_against_boosted_mpmath(self):
+        # the band 12 t^2 <= q < 16 t^2, q > 14, that the Hankel expansion
+        # took over from mpmath.  Its truncation error peaks where the band
+        # meets q = 14 (smallest term ~4e-11 at t = 1.08, ~1e-19 from t = 2
+        # on), so (t, q) is dense below t = 3; above, one point per t on the
+        # edge, since the reference costs ~q^2 (4 s at q = 1728)
+        grid = [(t, q) for t in np.linspace(0.94, 3.0, 24, endpoint=False)
+                for q in np.linspace(max(12.0 * t * t, 14.0 + 1e-9), 16.0 * t * t, 8,
+                                     endpoint=False)]
+        worst = 0.0
+        for t, q in grid + [(t, 12.0 * t * t) for t in (3.0, 6.0, 12.0)]:
+                got = bessel_J_imag_order(t, q)
+                with mp.workdps(40 + int(0.9 * q)):
+                    ref = complex(mp.besselj(2j * mp.mpf(t), mp.mpf(q)))
+                worst = max(worst, abs(got - ref) / abs(ref))
+        print(f"worst relative error on the 12t^2 <= q < 16t^2 band: {worst:.2e}")
+        assert worst <= 1e-10
+
+    def test_hankel_truncation_above_target_raises(self):
+        # at t = 3, q = 15 the first term already grows: no truncation
+        # reaches the 1e-8 target
+        with pytest.raises(RuntimeError, match=r"t=3, q=15 .* above the 1e-08"):
+            besselj._hankel(3.0, np.array([40.0, 15.0]))
 
     def test_uniform_envelope_with_reported_constant(self):
         # |J_{2it}(q)| <= C cosh(pi t) min(q^{-1/2}, 1 + |log q|)

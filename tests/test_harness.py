@@ -135,6 +135,7 @@ class TestCli:
         ("0", "512", "--xmin must be at least 1, got 0"),
         ("0.5", "512", "--xmin must be at least 1, got 0.5"),
         ("600", "512", "--xmin must not exceed --xmax, got 600 > 512"),
+        ("600", "700", "no power of two lies in [--xmin, --xmax] = [600, 700]"),
     ])
     def test_shifted_sum_bad_window_rejected(self, tmp_path, capsys, xmin, xmax, message):
         rc = main(["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", xmin,
@@ -194,6 +195,13 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 0
         assert "slope" in capsys.readouterr().out
+
+    def test_shifted_sum_grid_starts_at_or_above_xmin(self, tmp_path):
+        rc = main(["shifted-sum", "--form", "eta7", "--h", "1",
+                   "--xmin", "600", "--xmax", "1100", "--out", str(tmp_path)])
+        assert rc == 0
+        _, header, rows = read_csv(tmp_path / "shifted-sum.csv")
+        assert [float(r[header.index("X")]) for r in rows] == [1024.0]
 
     def test_gen_form_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "form.txt"

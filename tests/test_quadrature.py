@@ -25,6 +25,13 @@ def test_real_tail_returns_python_float():
     assert val == pytest.approx(-ci, abs=1e-10)
 
 
+def test_unconverged_tail_raises():
+    # 1/v^2 does not oscillate, so the averaging cannot reach tol in 40 panels
+    with pytest.raises(RuntimeError, match=r"v0=1 unconverged after 40 panels: "
+                                           r"error estimate .* >= tol 1e-11"):
+        alternating_tail(lambda v: 1.0 / v**2, 1.0, max_panels=40)
+
+
 @pytest.mark.parametrize("n", [8, 24])
 def test_panels_complex_integrand(n):
     # int_0^3 e^{(1+2i)x} dx = (e^{3(1+2i)} - 1) / (1+2i), over uneven panels
