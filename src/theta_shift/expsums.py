@@ -24,7 +24,6 @@ from .arith import (
     factorize,
     inverse_mod,
     kronecker_array,
-    trivial_character,
     unit_table,
 )
 
@@ -204,10 +203,8 @@ def weil_ratio_grid(c: int, ell: int, chi: DirichletCharacter) -> float:
     return float(np.max(grid / bound))
 
 
-def random_admissible_tuple(rng: np.random.Generator, max_c: int, characters=None):
+def random_admissible_tuple(rng: np.random.Generator, max_c: int, characters):
     """Draw (m, n, c, ell, chi) with lcm(4, N) | c <= max_c."""
-    if characters is None:
-        characters = [trivial_character(4)]
     chi = characters[rng.integers(0, len(characters))]
     step = math.lcm(4, chi.modulus)
     kmax = max_c // step

@@ -238,7 +238,6 @@ COMMANDS = {
         ("--h", dict(type=int, required=True)),
         ("--xmax", dict(type=float, default=4096.0)),
         ("--xmin", dict(type=float, default=32.0)),
-        ("--grid", dict(choices=["dyadic"], default="dyadic")),
         ("--one-sided", dict(action="store_true",
                              help="count n >= 0 once instead of the square-counting weight")),
     ), _shifted_sum),
@@ -253,8 +252,7 @@ COMMANDS = {
     "remark-check": ("explicit inner-product value", (), (
         ("--k", dict(type=int, action="append", default=None)),
     ), _remark_check),
-    "gen-form": ("write a coefficient file", (), (
-        ("--type", dict(choices=["eta7"], default="eta7")),
+    "gen-form": ("write the eta7 coefficient file", (), (
         ("--M", dict(type=int, default=100000)),
         ("--file", dict(required=True)),
     ), _gen_form),

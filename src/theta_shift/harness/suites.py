@@ -123,7 +123,7 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
     return rows, lines, ok
 
 
-def salie_bound_suite(pmax: int = 5000, seed: int = 13, pairs_per_modulus: int = 40):
+def salie_bound_suite(pmax: int = 5000, seed: int = 13):
     """Prime-power bound for the quadratic-twisted sums at odd moduli."""
     if pmax < 2:
         raise ValueError(f"--pmax must be at least 2, got {pmax}")
@@ -143,7 +143,7 @@ def salie_bound_suite(pmax: int = 5000, seed: int = 13, pairs_per_modulus: int =
                 rng = item_rng(seed, idx)
                 idx += 1
                 structured = [(0, 0), (0, 1), (1, 0), (1, 1), (p, 1), (p, p), (c, c)]
-                extra = rng.integers(-2 * c, 2 * c + 1, size=(pairs_per_modulus, 2))
+                extra = rng.integers(-2 * c, 2 * c + 1, size=(40, 2))
                 pairs = np.array(structured + [tuple(x) for x in extra], dtype=np.int64)
                 vals = salie_values(c, chi, pairs)
                 for (m, n), v in zip(pairs, vals):
@@ -162,8 +162,9 @@ def salie_bound_suite(pmax: int = 5000, seed: int = 13, pairs_per_modulus: int =
     return rows, lines, ok
 
 
-def whittaker_norm_suite(etas=(1.25, -1.25), ts=(1.0, 2.0, 5.0, 10.0), tol=1e-6):
+def whittaker_norm_suite():
     """Squared-norm identity: quadrature against the digamma closed form."""
+    etas, ts, tol = (1.25, -1.25), (1.0, 2.0, 5.0, 10.0), 1e-6
     rows = []
     worst = 0.0
     t0 = time.time()
@@ -182,16 +183,16 @@ def whittaker_norm_suite(etas=(1.25, -1.25), ts=(1.0, 2.0, 5.0, 10.0), tol=1e-6)
     return rows, lines, ok
 
 
-def whittaker_ratio_suite(etas=(1.25, -1.25), n_t: int = 6, n_y: int = 12):
+def whittaker_ratio_suite():
     """Uniform decay-envelope ratio: finite sup, stable under grid doubling."""
     rows = []
     t0 = time.time()
     sups = {}
     for dbl in (1, 2):
         sup = 0.0
-        ts = np.geomspace(1.0, 40.0, n_t * dbl)
-        fracs = np.linspace(0.02, 1.5, n_y * dbl)
-        for eta in etas:
+        ts = np.geomspace(1.0, 40.0, 6 * dbl)
+        fracs = np.linspace(0.02, 1.5, 12 * dbl)
+        for eta in (1.25, -1.25):
             for t in ts:
                 r = whittaker_uniform_ratio_grid(eta, float(t), fracs * float(t))
                 sup = max(sup, float(np.max(r)))
@@ -211,14 +212,15 @@ def whittaker_ratio_suite(etas=(1.25, -1.25), n_t: int = 6, n_y: int = 12):
     return rows, lines, ok
 
 
-def whittaker_lower_suite(etas=(1.25, -1.25), ts=(1.0, 2.0, 5.0, 10.0, 30.0)):
+def whittaker_lower_suite():
     """Positive lower envelope of the tail-integral ratio across t."""
+    ts = (1.0, 2.0, 5.0, 10.0, 30.0)
     alpha = 1.0 / (8.0 * math.pi)
     rows = []
     ok = True
     lines = []
     t0 = time.time()
-    for eta in etas:
+    for eta in (1.25, -1.25):
         vals = [whittaker_lower_bound_check(eta, t, alpha) for t in ts]
         rows.extend((eta, t, v) for t, v in zip(ts, vals))
         lo, hi = min(vals), max(vals)
@@ -232,8 +234,7 @@ def whittaker_lower_suite(etas=(1.25, -1.25), ts=(1.0, 2.0, 5.0, 10.0, 30.0)):
     return rows, lines, ok
 
 
-def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6,
-                          dual_route_tol: float = 1e-4):
+def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
     """Boundedness and grid stability of G, plus a dual-route spot check."""
     if n_omega < 1 or n_T < 1:
         raise ValueError(f"need n_omega >= 1 and n_T >= 1, got {n_omega} and {n_T}")
@@ -271,21 +272,22 @@ def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6,
     elapsed = time.time() - t0
     ok = (math.isfinite(sups_large[2]) and drift_l < 0.10
           and math.isfinite(sups_small[2]) and drift_s < 0.10
-          and worst_dual <= dual_route_tol)
+          and worst_dual <= 1e-4)
     lines = [
         f"{'PASS' if drift_l < 0.10 else 'FAIL'} oscillatory kernel t-average, omega >= 1: "
         f"sup |G|/omega^(1/2) = {sups_large[1]:.4f}, doubled-grid drift {drift_l:.2%}",
         f"{'PASS' if drift_s < 0.10 else 'FAIL'} same, omega <= 1 with omega(1+|log omega|): "
         f"sup = {sups_small[1]:.4f}, drift {drift_s:.2%}",
-        f"{'PASS' if worst_dual <= dual_route_tol else 'FAIL'} dual-route agreement on "
-        f"{len(spots)} spots: worst rel {worst_dual:.2e} (tol {dual_route_tol:.0e}) "
+        f"{'PASS' if worst_dual <= 1e-4 else 'FAIL'} dual-route agreement on "
+        f"{len(spots)} spots: worst rel {worst_dual:.2e} (tol 1e-04) "
         f"[{elapsed:.1f}s]",
     ]
     return rows, lines, ok
 
 
-def mellin_suite(tol: float = 1e-6):
+def mellin_suite():
     """Contour-integral route against direct quadrature, plus shift invariance."""
+    tol = 1e-6
     grid = [
         (1, 1, 2, 5, 1.0), (1, 1, 2, 5, 2.0), (3, -1, 2, 5, 1.0),
         (4, -2, 2, 5, 2.0), (2, 2, 4, 9, 1.0), (5, -2, 3, 9, 2.0),
@@ -314,7 +316,7 @@ def mellin_suite(tol: float = 1e-6):
     return rows, lines, ok
 
 
-def bessel_bound_suite(tol_constant: float = 2.0):
+def bessel_bound_suite():
     """Uniform J-bound and conjugate-difference bound on a (t, q) grid.
 
     The difference bound is asserted with an explicit constant 2 (the
@@ -333,35 +335,34 @@ def bessel_bound_suite(tol_constant: float = 2.0):
             c_abs = max(c_abs, ra)
             c_diff = max(c_diff, rd)
             rows.append((t, q, ra, rd))
-    ok = c_abs <= tol_constant and c_diff <= tol_constant
+    ok = c_abs <= 2.0 and c_diff <= 2.0
     lines = [
         f"{'PASS' if ok else 'FAIL'} uniform J-envelopes: max |J| constant {c_abs:.3f}, "
-        f"max conjugate-difference constant {c_diff:.3f} (asserted <= {tol_constant})",
+        f"max conjugate-difference constant {c_diff:.3f} (asserted <= 2.0)",
     ]
     return rows, lines, ok
 
 
-def theta_suite(seed: int = 5, trials: int = 100, z: complex = 0.3 + 1.1j,
-                tol: float = 1e-8):
+def theta_suite(seed: int = 5, trials: int = 100):
     """Weight-1/2 multiplier consistency on random level-4 matrices."""
     _check_trials(trials)
     def one(i):
         rng = item_rng(seed, i)
         g = random_gamma0_matrix(rng)
-        return (*g, theta_transform_residual(g, z))
+        return (*g, theta_transform_residual(g, 0.3 + 1.1j))
 
     t0 = time.time()
     rows = [one(i) for i in range(trials)]
     worst = max(r[4] for r in rows)
-    ok = worst <= tol
+    ok = worst <= 1e-8
     lines = [
         f"{'PASS' if ok else 'FAIL'} weight-1/2 multiplier: {trials} random matrices, "
-        f"max residual {worst:.2e} (tol {tol:.0e}) [{time.time()-t0:.1f}s]",
+        f"max residual {worst:.2e} (tol 1e-08) [{time.time()-t0:.1f}s]",
     ]
     return rows, lines, ok
 
 
-def remark_suite(ks=(5, 9), tol: float = 1e-6):
+def remark_suite(ks=(5, 9)):
     """The explicit level-576 inner product against its closed form."""
     rows = []
     worst = 0.0
@@ -372,10 +373,10 @@ def remark_suite(ks=(5, 9), tol: float = 1e-6):
         rel = abs(q - cf) / abs(cf)
         worst = max(worst, rel)
         rows.append((k, q, cf, rel))
-    ok = worst <= tol
+    ok = worst <= 1e-6
     lines = [
         f"{'PASS' if ok else 'FAIL'} explicit inner-product value at k in {ks}: "
-        f"worst rel err {worst:.2e} (tol {tol:.0e}) [{time.time()-t0:.1f}s]",
+        f"worst rel err {worst:.2e} (tol 1e-06) [{time.time()-t0:.1f}s]",
     ]
     return rows, lines, ok
 
@@ -392,8 +393,9 @@ def shifted_sum_experiment(f: CuspForm, h: int, x_lo_exp: int = 5, x_hi_exp: int
     return series, rows
 
 
-def exponent_gate(f: CuspForm, h: int = 1, cap: float = 0.85, min_points: int = 5):
-    """Main-term-free slope check on the dyadic window."""
+def exponent_gate(f: CuspForm):
+    """Main-term-free slope check at h = 1 on the dyadic window."""
+    h = 1
     series, rows = shifted_sum_experiment(f, h)
     xs = series.xs()
     slope = fit_exponent(series, 0.0)
@@ -402,33 +404,37 @@ def exponent_gate(f: CuspForm, h: int = 1, cap: float = 0.85, min_points: int = 
     top = ShiftedSumSeries(h=h, rows=[r for r, m in zip(series.rows, mask) if m])
     top_slope = float(np.polyfit(np.log(top.xs()), np.log(np.abs(top.values())), 1)[0]) \
         if mask.sum() >= 2 else math.nan
-    ok = slope <= cap and len(xs) >= min_points
+    ok = slope <= 0.85 and len(xs) >= 5
     lines = [
         f"{'PASS' if ok else 'FAIL'} sharp-cutoff exponent (h={h}, {len(xs)} dyadic points "
-        f"up to X={int(xs[-1])}): slope {slope:.3f} (cap {cap}); "
+        f"up to X={int(xs[-1])}): slope {slope:.3f} (cap 0.85); "
         f"top-window slope {top_slope:.3f}",
     ]
     return rows, lines, ok, slope
 
 
-def main_term_gate(f: CuspForm, h: int = 7, stab_tol: float = 0.10,
-                   inform_band: float = 0.25):
-    """Main-term stabilization plus the informational residue comparison."""
+def main_term_gate(f: CuspForm, h: int = 7):
+    """Main-term stabilization plus the informational residue comparison.
+
+    The residue route misses by a stable factor of about sqrt(2) at every
+    h with a main term, though its R is 0.21% from the exact residue: the
+    gap is in the predicted constant, so the comparison is not gated.
+    """
     series, rows = shifted_sum_experiment(f, h)
     (x1, s1), (x2, s2) = series.rows[-2], series.rows[-1]
     c_top, c_prev = s2 / x2, s1 / x1
     var = abs(c_top - c_prev) / abs(c_top)
-    ok = var < stab_tol and abs(c_top) > 0
+    ok = var < 0.10 and abs(c_top) > 0
     y_top = min(4000, math.isqrt(f.n_coeffs) - 1)
     r_hat, quality = sym2_residue_estimate(f, np.unique(np.geomspace(40, y_top, 24).astype(int)))
     c_est = residual_constant(f, h, r_hat)
     dev = abs(c_est - c_top) / abs(c_top) if c_top else math.inf
-    flag = "within" if dev <= inform_band else "OUTSIDE (slow convergence)"
+    flag = "within" if dev <= 0.25 else "OUTSIDE (predicted constant off by ~sqrt 2)"
     lines = [
         f"{'PASS' if ok else 'FAIL'} main-term stabilization (h={h}): S/X = {c_top:.5f}, "
-        f"top-two variation {var:.2%} (needs < {stab_tol:.0%}), nonzero",
+        f"top-two variation {var:.2%} (needs < 10%), nonzero",
         f"INFO  residue-route comparison: slope estimate R = {r_hat:.4f} "
         f"(quality {quality:.3f}) gives c = {c_est:.4f}; observed {c_top:.4f}; "
-        f"deviation {dev:.1%}, {flag} the {inform_band:.0%} band",
+        f"deviation {dev:.1%}, {flag} the 25% band",
     ]
     return rows, lines, ok

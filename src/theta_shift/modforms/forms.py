@@ -18,9 +18,9 @@ import numpy as np
 
 from ..arith import (
     DirichletCharacter,
-    char_from_kronecker,
     deserialize_character,
     primes_upto,
+    serialize_character,
     trivial_character,
 )
 
@@ -70,9 +70,9 @@ class CuspForm:
         return self.coeffs[ns - 1] / ns.astype(np.float64) ** ((self.weight - 1) / 2.0)
 
 
-def deligne_warnings(coeffs: np.ndarray, weight: int, limit: int = 20000) -> list:
-    """Warn-level Deligne sanity |a(p)| <= 2 p^((k-1)/2) at primes p <= limit."""
-    primes = primes_upto(min(len(coeffs), limit))
+def deligne_warnings(coeffs: np.ndarray, weight: int) -> list:
+    """Warn-level Deligne sanity |a(p)| <= 2 p^((k-1)/2) at primes p <= 20000."""
+    primes = primes_upto(min(len(coeffs), 20000))
     if len(primes) == 0:
         return []
     vals = np.abs(coeffs[primes - 1])
@@ -95,7 +95,6 @@ def load_form(path) -> CuspForm:
     """Read a coefficient file; lifts the level into 4Z if needed."""
     header = {}
     pairs = {}
-    char_table = None
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -124,15 +123,12 @@ def load_form(path) -> CuspForm:
     if level != level0:
         notes.append(f"level lifted {level0} -> {level}")
     if "char_kronecker" in header:
-        chi = char_from_kronecker(int(header["char_kronecker"]), level)
+        chi = deserialize_character({"modulus": level,
+                                     "kronecker_discriminant": int(header["char_kronecker"])})
     elif "char_table" in header:
         table = [complex(v) for v in header["char_table"].split(",")]
-        char_table = [
-            v if abs(v.imag) > 0 else v.real for v in table]
-        chi = deserialize_character({
-            "modulus": level,
-            "value_table": [(complex(v).real, complex(v).imag) for v in char_table],
-        })
+        chi = deserialize_character({"modulus": level,
+                                     "value_table": [(v.real, v.imag) for v in table]})
     else:
         chi = trivial_character(level)
     if not pairs:
@@ -152,9 +148,12 @@ def save_form(path, f: CuspForm, n_max: int | None = None) -> None:
     n_max = min(n_max or f.n_coeffs, f.n_coeffs)
     with open(path, "w") as fh:
         fh.write(f"level={f.level}\nweight={f.weight}\n")
-        label = f.character.label
-        if label.startswith("(") and "/.) mod" in label:
-            fh.write(f"char_kronecker={label[1:label.index('/')]}\n")
+        rec = serialize_character(f.character)
+        if "kronecker_discriminant" in rec:
+            fh.write(f"char_kronecker={rec['kronecker_discriminant']}\n")
+        else:
+            fh.write("char_table=" + ",".join(repr(complex(re, im)) if im else repr(re)
+                                              for re, im in rec["value_table"]) + "\n")
         if f.label:
             fh.write(f"label={f.label}\n")
         complex_coeffs = np.iscomplexobj(f.coeffs)

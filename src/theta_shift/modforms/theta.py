@@ -17,8 +17,8 @@ import numpy as np
 from ..arith import epsilon_d, inverse_mod, kronecker
 
 
-def theta_series(z: complex, tol: float = 1e-18) -> complex:
-    """theta(z) = sum_n e(n^2 z), truncated once terms drop below tol."""
+def theta_series(z: complex) -> complex:
+    """theta(z) = sum_n e(n^2 z), truncated once terms drop below 1e-18."""
     if z.imag <= 0:
         raise ValueError("z must lie in the upper half plane")
     total = 1.0 + 0j
@@ -26,7 +26,7 @@ def theta_series(z: complex, tol: float = 1e-18) -> complex:
     while True:
         term = 2.0 * cmath.exp(2j * cmath.pi * n * n * z)
         total += term
-        if abs(term) < tol:
+        if abs(term) < 1e-18:
             return total
         n += 1
         if n > 10**7:
@@ -48,20 +48,13 @@ def _check_gamma(gamma):
     return a, b, c, d
 
 
-def theta_transform_residual(gamma, z: complex, m_terms: int | None = None) -> float:
-    """|theta(gz) - eps_d^{-1}(c/d)(cz+d)^{1/2} theta(z)|.
-
-    m_terms caps the series length; None lets the tolerance decide.
-    """
+def theta_transform_residual(gamma, z: complex) -> float:
+    """|theta(gz) - eps_d^{-1}(c/d)(cz+d)^{1/2} theta(z)|."""
     a, b, c, d = _check_gamma(gamma)
     cz_d = c * z + d
     gz = (a * z + b) / cz_d
-    tol = 1e-18
-    if m_terms is not None:
-        # translate a term cap into the tolerance it achieves at gz
-        tol = max(tol, 2.0 * math.exp(-2 * math.pi * gz.imag * m_terms * m_terms))
-    lhs = theta_series(gz, tol)
-    rhs = theta_multiplier(gamma) * cmath.sqrt(cz_d) * theta_series(z, tol)
+    lhs = theta_series(gz)
+    rhs = theta_multiplier(gamma) * cmath.sqrt(cz_d) * theta_series(z)
     return abs(lhs - rhs)
 
 

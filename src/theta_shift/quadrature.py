@@ -44,15 +44,14 @@ def gl_panels(f, edges, n: int = 24):
     return np.sum(_panel_integrals(f, edges, n)).item()
 
 
-def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 600,
-                     levels: int = 10, n: int = 16, tol: float = 1e-11):
+def alternating_tail(f, v0: float, max_panels: int = 600, n: int = 16, tol: float = 1e-11):
     """Integral of f over [v0, inf) for unit-frequency oscillatory decay.
 
-    Accumulates period-length panels and applies iterated averaging to
-    the partial sums; returns (value, error_estimate).  The estimate is
-    the spread of the last few accelerated values.  f may be real or
-    complex valued: the value is a float for real f and a complex for
-    complex f.  For complex f the estimate is the spread's modulus, a
+    Accumulates pi-length panels and applies up to ten rounds of
+    averaging to the partial sums; returns (value, error_estimate).  The
+    estimate is the spread of the last few accelerated values.  f may be
+    real or complex valued: the value is a float for real f and a complex
+    for complex f.  For complex f the estimate is the spread's modulus, a
     float that bounds the spread of each part, so one pass serves both.
     Raises RuntimeError when max_panels are spent with the estimate
     still at or above tol.
@@ -62,11 +61,11 @@ def alternating_tail(f, v0: float, period: float = math.pi, max_panels: int = 60
     batch = 40
     est = math.inf
     for _ in range(max_panels // batch):
-        edges = a + period * np.arange(batch + 1)
+        edges = a + math.pi * np.arange(batch + 1)
         panels.extend(_panel_integrals(f, edges, n).tolist())
         a = edges[-1]
         s = np.cumsum(panels)
-        lev = min(levels, len(s) - 2)
+        lev = min(10, len(s) - 2)
         for _ in range(lev):
             s = 0.5 * (s[:-1] + s[1:])
         est = abs(s[-1] - s[-3]) + abs(s[-1] - s[-2]) if len(s) >= 3 else math.inf

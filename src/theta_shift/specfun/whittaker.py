@@ -245,13 +245,14 @@ def whittaker_lower_bound_check(eta: float, t: float, alpha: float) -> float:
     return integral / math.exp((2.0 * eta - 1.0) * math.log(t) - math.pi * t)
 
 
-def whittaker_l2_norm(eta: float, t: float, y_min: float = 3e-8) -> float:
+def whittaker_l2_norm(eta: float, t: float) -> float:
     """int_0^inf W_{eta,it}(u)^2 du/u (scale-invariant, so the 4 pi in the
     usual normalization drops out).
 
-    The neglected piece below y_min is bounded by sup(W^2/u) * y_min ~
-    W(y_min)^2, a few parts in 1e7 of the total at the default cutoff.
+    The neglected piece below y_min = 3e-8 is bounded by sup(W^2/u) *
+    y_min ~ W(y_min)^2, a few parts in 1e7 of the total.
     """
+    y_min = 3e-8
     sol = whittaker_solution(eta, 1j * t, y_min, y_min)
     return float(-sol._dense(y_min)[2] + sol.tail_l2_w)
 

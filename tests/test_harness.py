@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from theta_shift.harness import cli
 from theta_shift.harness.cli import COMMANDS, _normalize_argv, _parser, main
 from theta_shift.harness.csvio import read_csv, write_csv
 from theta_shift.harness.suites import item_rng
@@ -172,6 +173,13 @@ class TestCli:
             args = _parser().parse_args(_normalize_argv(shlex.split(line)[1:]))
             seen.add(args.name)
         assert seen == set(COMMANDS)
+
+    def test_every_command_option_is_read(self):
+        source = Path(cli.__file__).read_text()
+        unread = [flag for _, _, arguments, _ in COMMANDS.values() for flag, kwargs in arguments
+                  if not re.search(rf"\bargs\.{kwargs.get('dest', flag[2:].replace('-', '_'))}\b",
+                                   source)]
+        assert unread == []
 
     def test_bessel_grid(self, tmp_path):
         rc = main(["specfun", "bessel", "--t", "1.0", "--q", "2.0", "--q", "5.0",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_shift.arith import trivial_character
+from theta_shift.arith import char_from_kronecker, char_from_table, trivial_character
 from theta_shift.modforms.eta import eta7_cusp_form, eta_cubed_pair_coeffs
 from theta_shift.modforms.forms import CuspForm, load_form, r1, save_form
 
@@ -101,6 +101,18 @@ class TestLoadSave:
         f = load_form(path)
         assert f.level == 28 and f.weight == 3
         assert np.allclose(f.coeffs, eta7_small.coeffs[:50])
+
+    @pytest.mark.parametrize("chi", [
+        char_from_kronecker(-7, 28),
+        # order-4 character mod 5 (2 -> i) times the trivial character mod 4
+        char_from_table(20, [{1: 1, 2: 1j, 4: -1, 3: -1j}[d % 5] if math.gcd(d, 20) == 1
+                             else 0 for d in range(20)]),
+    ], ids=["kronecker", "table"])
+    def test_save_then_load_keeps_character(self, tmp_path, eta7_small, chi):
+        path = tmp_path / "out.txt"
+        save_form(path, CuspForm(level=chi.modulus, weight=3, character=chi,
+                                 coeffs=eta7_small.coeffs[:50]))
+        assert load_form(path).character.values == chi.values
 
     def test_gap_rejected(self, tmp_path):
         path = tmp_path / "gap.txt"
