@@ -78,6 +78,13 @@ def _check_kloosterman_domain(c: int, ell: int, chi: DirichletCharacter) -> None
         raise ValueError(f"ell must be odd, got {ell}")
 
 
+def _check_salie_domain(c: int, chi: DirichletCharacter) -> None:
+    if c % chi.modulus != 0:
+        raise ValueError(f"need N | c; got c={c}, N={chi.modulus}")
+    if (c & -c).bit_length() - 1 == 1:
+        raise ValueError(f"Salie sums need v2(c) != 1, got c={c}")
+
+
 def weil_bound(m: int, n: int, c: int, chi: DirichletCharacter) -> float:
     """4 tau(c) (m,n,c)^(1/2) c^(1/2) N^(1/2) with N the character modulus."""
     g = math.gcd(math.gcd(m, n), c)
@@ -113,12 +120,7 @@ def _phi(c: int) -> int:
 
 def salie_naive(m: int, n: int, c: int, chi: DirichletCharacter) -> ExpSumResult:
     """Direct summation of the (d/c)-twisted Salie sum."""
-    N = chi.modulus
-    if c % N != 0:
-        raise ValueError(f"need N | c; got c={c}, N={N}")
-    v2 = (c & -c).bit_length() - 1
-    if v2 == 1:
-        raise ValueError(f"Salie sums need v2(c) != 1, got c={c}")
+    _check_salie_domain(c, chi)
     if c == 1:
         return ExpSumResult(1.0 + 0j, m, n, 1, None, chi, 1.0)
     units, invs, w = _sum_table(c, chi)
@@ -186,9 +188,7 @@ def kloosterman_grid(c: int, ell: int, chi: DirichletCharacter) -> np.ndarray:
 
 def salie_values(c: int, chi: DirichletCharacter, pairs: np.ndarray) -> np.ndarray:
     """Salie sums at an array of (m, n) pairs for one modulus."""
-    N = chi.modulus
-    if c % N != 0 or ((c & -c).bit_length() - 1) == 1:
-        raise ValueError("inadmissible Salie modulus")
+    _check_salie_domain(c, chi)
     units, invs, w = _sum_table(c, chi)
     idx = (pairs[:, 0:1] * invs[None, :] + pairs[:, 1:2] * units[None, :]) % c
     return _roots(c)[idx] @ w

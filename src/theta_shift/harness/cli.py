@@ -23,7 +23,7 @@ from ..expsums import kloosterman_factored, kloosterman_naive, salie_naive
 from ..modforms.eta import eta7_cusp_form
 from ..modforms.forms import load_form, save_form
 from ..modforms.residual import sym2_residue_estimate
-from ..modforms.sums import ShiftedSumSeries, fit_exponent
+from ..modforms.sums import fit_exponent
 from ..specfun.besselj import bessel_J_imag_order
 from ..specfun.whittaker import WhittakerParams, whittaker_W
 from . import suites
@@ -154,7 +154,7 @@ def _shifted_sum(args):
         raise ValueError(f"no power of two lies in [--xmin, --xmax] = "
                          f"[{args.xmin:g}, {args.xmax:g}]")
     f = _load(args.form, need_M=int(args.xmax) ** 2 + args.h)
-    _, rows = suites.shifted_sum_experiment(
+    rows = suites.shifted_sum_experiment(
         f, args.h, x_lo_exp=lo, x_hi_exp=hi, one_sided=args.one_sided)
     lines = [f"X={x:g}: S={s:.8f} S/X={sx:.8f}" for x, s, sx in rows]
     return ["X", "S", "S_over_X"], rows, lines, True
@@ -164,7 +164,7 @@ def _fit(args):
     _, header, data = read_csv(args.infile)
     xs = np.array([float(r[header.index("X")]) for r in data])
     ss = np.array([float(r[header.index("S")]) for r in data])
-    slope = fit_exponent(ShiftedSumSeries(h=0, rows=list(zip(xs, ss))), args.c)
+    slope = fit_exponent(xs, ss, args.c)
     return None, None, [f"slope of log|S - {args.c} X| vs log X: {slope:.4f}"], True
 
 

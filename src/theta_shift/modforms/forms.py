@@ -5,8 +5,9 @@ one-liner: header lines `level=`, `weight=`, `char_kronecker=` or
 `char_table=`, then one `a <n> <re> [<im>]` line per coefficient.
 
 Forms of level N0 with 4 not dividing N0 are accepted by lifting to
-lcm(4, N0) with coefficients unchanged; the divisibility-sensitive
-residual-constant checks all use the lifted level.
+lcm(4, N0) with coefficients unchanged and the character, given by
+Kronecker symbol or by its N0 values, read on the units mod lcm(4, N0); the
+divisibility-sensitive residual-constant checks all use the lifted level.
 """
 
 from __future__ import annotations
@@ -127,8 +128,12 @@ def load_form(path) -> CuspForm:
                                      "kronecker_discriminant": int(header["char_kronecker"])})
     elif "char_table" in header:
         table = [complex(v) for v in header["char_table"].split(",")]
+        if len(table) != level0:
+            raise ValueError(f"{path}: char_table needs {level0} values, got {len(table)}")
+        # lifted like the Kronecker path: chi(d) = table[d mod level0] on units mod level
+        lifted = [table[d % level0] if math.gcd(d, level) == 1 else 0j for d in range(level)]
         chi = deserialize_character({"modulus": level,
-                                     "value_table": [(v.real, v.imag) for v in table]})
+                                     "value_table": [(v.real, v.imag) for v in lifted]})
     else:
         chi = trivial_character(level)
     if not pairs:

@@ -10,27 +10,13 @@ single-sided conventions in the literature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .forms import CuspForm
 
 
-@dataclass
-class ShiftedSumSeries:
-    h: int
-    rows: list = field(default_factory=list)  # (X, S(X)) pairs, X increasing
-    one_sided: bool = False
-
-    def xs(self) -> np.ndarray:
-        return np.array([x for x, _ in self.rows])
-
-    def values(self) -> np.ndarray:
-        return np.array([s for _, s in self.rows])
-
-
-def shifted_sum(f: CuspForm, h: int, X_grid, one_sided: bool = False) -> ShiftedSumSeries:
+def shifted_sum(f: CuspForm, h: int, X_grid, one_sided: bool = False) -> np.ndarray:
     """Exact partial sums S(X) on an increasing grid, accumulated once."""
     if h <= 0:
         raise ValueError("shift h must be positive")
@@ -44,9 +30,7 @@ def shifted_sum(f: CuspForm, h: int, X_grid, one_sided: bool = False) -> Shifted
     # relative fuzz keeps jump points X = sqrt(n^2 + h) inclusive
     lim = X_grid * X_grid * (1.0 + 8e-16) - h
     ns, cum = _partial_sums(f, h, math.isqrt(max(int(lim[-1]), 0)), one_sided)
-    vals = np.real(cum[np.searchsorted(ns * ns, lim, side="right")])
-    return ShiftedSumSeries(h=h, rows=list(zip(X_grid.tolist(), vals.tolist())),
-                            one_sided=one_sided)
+    return np.real(cum[np.searchsorted(ns * ns, lim, side="right")])
 
 
 def _partial_sums(f: CuspForm, h: int, n_max: int, one_sided: bool):
@@ -94,12 +78,12 @@ def dirichlet_D_h(f: CuspForm, h: int, s: complex, cutoff: int):
     return complex(total), float(tail)
 
 
-def fit_exponent(series: ShiftedSumSeries, c: float) -> float:
+def fit_exponent(xs, S, c: float) -> float:
     """Least-squares slope of log|S(X) - c X| against log X."""
-    xs = series.xs()
+    xs = np.asarray(xs, dtype=np.float64)
     if len(xs) < 8:
         raise ValueError("need at least 8 rows for a stable exponent fit")
-    resid = np.abs(series.values() - c * xs)
+    resid = np.abs(np.asarray(S) - c * xs)
     keep = resid > 1e-12
     if keep.sum() < 2:
         raise ValueError("degenerate grid: residuals vanish")

@@ -58,15 +58,14 @@ def theta_transform_residual(gamma, z: complex) -> float:
     return abs(lhs - rhs)
 
 
-def random_gamma0_matrix(rng: np.random.Generator, max_entry: int = 50,
-                         level: int = 4):
-    """Uniform-ish member of Gamma_0(level) with all entries <= max_entry.
+def random_gamma0_matrix(rng: np.random.Generator, max_entry: int = 50):
+    """Uniform-ish member of Gamma_0(4) with all entries <= max_entry.
 
-    Draws (c, d) coprime with level | c, then picks the inverse
+    Draws (c, d) coprime with 4 | c, then picks the inverse
     representative a that keeps b = (ad-1)/c small.
     """
     while True:
-        c = level * int(rng.integers(-(max_entry // level), max_entry // level + 1))
+        c = 4 * int(rng.integers(-(max_entry // 4), max_entry // 4 + 1))
         d = int(rng.integers(-max_entry + 1, max_entry))
         if c == 0:
             if d in (1, -1):

@@ -25,14 +25,14 @@ y_top being the largest target:
   stretch where an explicit method is held back by the equation's
   unit-rate decaying mode.  The quadrature states are carried scaled,
   Q_k = e^y S_k with S_k(y) = -int_y^inf u^{2 eta - k} e^{-u} v^2 du,
-  so Q_k' = Q_k + y^{2 eta - k} v^2.  Q_k starts on its slow
-  (asymptotic) solution, so the tail beyond y0 is in the state, not
-  estimated, and its unit-rate fast mode decays inward;
+  so Q_k' = Q_k + y^{2 eta - k} v^2, and the unit-rate fast mode of
+  Q_k decays inward;
 * lower leg, y_join -> y_end: DOP853 with dense output, where the
-  targets are.
+  targets are, on S_k itself.
 
-When y_join >= y0 the DOP853 leg alone runs from y0, with a crude
-e^{-y0} estimate for the quadrature tails.
+When y_join >= y0 the DOP853 leg alone runs from y0.  The states start
+on their slow solution in both cases, so the tail beyond y0 is in the
+state, not estimated.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ class WhittakerParams:
     y: float
 
     def __post_init__(self):
-        mu = complex(self.mu)
-        if abs(mu.real) * abs(mu.imag) > 1e-14:
-            raise ValueError(f"mu must be real or purely imaginary, got {mu}")
+        _mu2_of(self.mu)
         if self.y <= 0:
             raise ValueError(f"argument must be positive, got y={self.y}")
 
@@ -109,8 +107,6 @@ class WhittakerSolution:
     dense_top: float
     y_end: float
     _dense: object
-    tail_l2_w: float   # int_{dense_top}^inf W^2 dy/y  not carried in the state
-    tail_l2_w2: float  # int_{dense_top}^inf W^2 dy/y^2 not carried in the state
 
     def w_values(self, ys) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
@@ -120,31 +116,22 @@ class WhittakerSolution:
         vals = self._dense(ys)[0]
         return np.exp(-0.5 * ys + self.eta * np.log(ys)) * vals
 
-
-def _rhs(eta: float, coeff: float):
-    """Scaled equation plus the two quadrature states (int W^2 dy/y^k, k = 1, 2)."""
-
-    def rhs(y, s):
-        v, dv, _, _ = s
-        w2 = math.exp(-y + 2.0 * eta * math.log(y)) * v * v
-        return (dv,
-                (1.0 - 2.0 * eta / y) * dv - coeff / (y * y) * v,
-                w2 / y,
-                w2 / (y * y))
-
-    return rhs
+    def squared_integral(self, y: float, k: int) -> float:
+        """int_y^inf W(u)^2 du / u^k for k = 1 or 2."""
+        return float(-self._dense(y)[1 + k])
 
 
-def _rhs_upper(eta: float, coeff: float):
-    """_rhs with the quadrature states carried as Q_k = e^y S_k."""
+def _rhs(eta: float, coeff: float, rate: float):
+    """Scaled equation plus the two quadrature states Q_k = e^{rate y} S_k
+    (k = 1, 2), so Q_k' = rate Q_k + e^{(rate - 1) y} y^{2 eta - k} v^2."""
 
     def rhs(y, s):
         v, dv, q1, q2 = s
-        f = math.exp(2.0 * eta * math.log(y)) * v * v
+        f = math.exp((rate - 1.0) * y + 2.0 * eta * math.log(y)) * v * v
         return (dv,
                 (1.0 - 2.0 * eta / y) * dv - coeff / (y * y) * v,
-                q1 + f / y,
-                q2 + f / (y * y))
+                rate * q1 + f / y,
+                rate * q2 + f / (y * y))
 
     return rhs
 
@@ -165,29 +152,28 @@ def _solve_scaled(eta: float, mu2: float, y_end: float, y_top: float) -> Whittak
         start = _asymptotic_v(eta, mu2, y0)
     v0, dv0 = start
     coeff = (eta - 0.5) ** 2 - mu2
+    # Q_k on its slow solution: -f_k (1 + f_k'/f_k), f_k = y^{2 eta - k} v^2
+    state = [v0, dv0, *(-(y0 ** (2.0 * eta - k)) * v0 * v0
+                        * (1.0 + (2.0 * eta - k) / y0 + 2.0 * dv0 / v0) for k in (1, 2))]
+    y_start = y0
     y_join = max(3.0 * math.sqrt(abs(mu2)), 1.1 * y_top + 10.0)
     if y_join < y0:
-        # Q_k on its slow solution: -f_k (1 + f_k'/f_k), f_k = y^{2 eta - k} v^2
-        q0 = [-(y0 ** (2.0 * eta - k)) * v0 * v0
-              * (1.0 + (2.0 * eta - k) / y0 + 2.0 * dv0 / v0) for k in (1, 2)]
-        up = _leg(_rhs_upper(eta, coeff), y0, y_join, [v0, dv0, *q0],
-                  method="LSODA", rtol=_RTOL_UPPER, atol=1e-280, first_step=1e-3)
-        v, dv, q1, q2 = up.y[:, -1]
-        scale = math.exp(-y_join)
-        y_start, state = y_join, [v, dv, q1 * scale, q2 * scale]
-        tail_w = tail_w2 = 0.0  # carried in the states
-    else:
-        # crude upper tail estimates from W ~ e^{-y/2} y^eta above y0
-        y_start, state = y0, [v0, dv0, 0.0, 0.0]
-        tail_w = math.exp(-y0 + (2 * eta - 1.0) * math.log(y0)) * 2.0
-        tail_w2 = math.exp(-y0 + (2 * eta - 2.0) * math.log(y0)) * 2.0
-    low = _leg(_rhs(eta, coeff), y_start, y_end, state, method="DOP853", rtol=_RTOL,
-               atol=1e-280, dense_output=True, first_step=y_start * 1e-3)
-    return WhittakerSolution(eta, mu2, y_start, y_end, low.sol, tail_w, tail_w2)
+        state = _leg(_rhs(eta, coeff, 1.0), y0, y_join, state, method="LSODA",
+                     rtol=_RTOL_UPPER, atol=1e-280, first_step=1e-3).y[:, -1]
+        y_start = y_join
+    v, dv, q1, q2 = state
+    scale = math.exp(-y_start)
+    low = _leg(_rhs(eta, coeff, 0.0), y_start, y_end, [v, dv, q1 * scale, q2 * scale],
+               method="DOP853", rtol=_RTOL, atol=1e-280, dense_output=True,
+               first_step=y_start * 1e-3)
+    return WhittakerSolution(eta, mu2, y_start, y_end, low.sol)
 
 
 def _mu2_of(mu: complex) -> float:
+    """mu^2 for mu real or purely imaginary; any other mu is rejected."""
     mu = complex(mu)
+    if abs(mu.real) * abs(mu.imag) > 1e-14:
+        raise ValueError(f"mu must be real or purely imaginary, got {mu}")
     return mu.real**2 - mu.imag**2
 
 
@@ -240,8 +226,7 @@ def whittaker_lower_bound_check(eta: float, t: float, alpha: float) -> float:
     lower_u = 4.0 * math.pi * alpha * t  # u = 4 pi y
     sol = whittaker_solution(eta, 1j * t, lower_u, lower_u)
     # int_{alpha t}^inf W(4 pi y)^2 dy/y^2 = 4 pi int_{lower_u}^inf W(u)^2 du/u^2
-    q = -sol._dense(lower_u)[3] + sol.tail_l2_w2
-    integral = 4.0 * math.pi * q
+    integral = 4.0 * math.pi * sol.squared_integral(lower_u, 2)
     return integral / math.exp((2.0 * eta - 1.0) * math.log(t) - math.pi * t)
 
 
@@ -254,7 +239,7 @@ def whittaker_l2_norm(eta: float, t: float) -> float:
     """
     y_min = 3e-8
     sol = whittaker_solution(eta, 1j * t, y_min, y_min)
-    return float(-sol._dense(y_min)[2] + sol.tail_l2_w)
+    return sol.squared_integral(y_min, 1)
 
 
 def whittaker_norm_closed_form(eta: float, t: float) -> float:
@@ -282,7 +267,7 @@ def whittaker_ode_residual_probe(eta: float, mu: complex, y_lo: float, y_hi: flo
     """
     rng = np.random.default_rng(seed)
     sol = whittaker_solution(eta, mu, y_lo, y_hi)
-    rhs = _rhs(eta, (eta - 0.5) ** 2 - _mu2_of(mu))
+    rhs = _rhs(eta, (eta - 0.5) ** 2 - _mu2_of(mu), 0.0)
     worst = 0.0
     ys = rng.uniform(y_lo, min(y_hi, sol.dense_top * 0.9), size=n_points)
     for ya in ys:

@@ -92,6 +92,11 @@ class TestSalie:
         with pytest.raises(ValueError):
             salie_naive(0, 1, 14, trivial_character(7))  # v2 = 1
         salie_naive(0, 1, 28, trivial_character(7))      # v2 = 2: fine
+        pairs = np.array([(1, 1)])
+        with pytest.raises(ValueError, match=r"v2\(c\) != 1"):
+            salie_values(6, trivial_character(3), pairs)
+        with pytest.raises(ValueError, match=r"need N \| c"):
+            salie_values(9, trivial_character(7), pairs)
 
     def test_batch_matches_pointwise(self):
         chi = trivial_character(9)

@@ -220,6 +220,14 @@ class TestCli:
                    "--xmin", "4", "--xmax", "8", "--out", str(tmp_path)])
         assert rc == 0
 
+    def test_shifted_sum_on_level7_table_form(self, tmp_path, eta7_small):
+        path = tmp_path / "form.txt"
+        path.write_text("level=7\nweight=3\nchar_table=0,1,1,-1,1,-1,-1\n"
+                        + "".join(f"a {n} {int(eta7_small.a(n))}\n" for n in range(1, 101)))
+        rc = main(["shifted-sum", "--form", str(path), "--h", "1",
+                   "--xmin", "4", "--xmax", "8", "--out", str(tmp_path)])
+        assert rc == 0
+
     def test_seed_determinism_bitwise(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):

@@ -114,6 +114,20 @@ class TestLoadSave:
                                  coeffs=eta7_small.coeffs[:50]))
         assert load_form(path).character.values == chi.values
 
+    def test_level7_table_lifted_like_kronecker(self, tmp_path, eta7_small):
+        path = tmp_path / "eta7.txt"
+        path.write_text("level=7\nweight=3\nchar_table=0,1,1,-1,1,-1,-1\n"
+                        + "".join(f"a {n} {int(eta7_small.a(n))}\n" for n in range(1, 101)))
+        f = load_form(path)
+        assert f.level == 28
+        assert f.character.values == char_from_kronecker(-7, 28).values
+
+    def test_table_length_must_match_level(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("level=7\nweight=3\nchar_table=0,1,1\na 1 1\n")
+        with pytest.raises(ValueError, match="char_table needs 7 values"):
+            load_form(path)
+
     def test_gap_rejected(self, tmp_path):
         path = tmp_path / "gap.txt"
         path.write_text("level=4\nweight=3\na 1 1\na 3 5\n")

@@ -13,6 +13,7 @@ from theta_shift.specfun.whittaker import (
     whittaker_lower_bound_check,
     whittaker_norm_closed_form,
     whittaker_ode_residual_probe,
+    whittaker_solution,
     whittaker_uniform_ratio,
     whittaker_uniform_ratio_grid,
 )
@@ -52,6 +53,10 @@ class TestDomain:
     def test_mixed_mu_rejected(self):
         with pytest.raises(ValueError):
             WhittakerParams(0.5, 0.3 + 0.4j, 1.0)
+        with pytest.raises(ValueError, match="real or purely imaginary"):
+            whittaker_W_grid(0.5, 0.3 + 0.4j, [1.0])
+        with pytest.raises(ValueError, match="real or purely imaginary"):
+            whittaker_solution(0.5, 0.3 + 0.4j, 1.0, 2.0)
 
     def test_nonpositive_y_rejected(self):
         with pytest.raises(ValueError):
@@ -126,8 +131,9 @@ class TestLowerBound:
         assert big >= small
 
     def test_pinned_value(self):
-        # the value of one DOP853 leg from y0 = 3606 with the crude e^{-y0} tails;
-        # the LSODA leg down to the join at 3t = 90 must reproduce it
+        # the value of one DOP853 leg from y0 = 3606, where the tail beyond y0
+        # (about e^{-3606}) is nil in doubles; the LSODA leg down to the join at
+        # 3t = 90 must reproduce it
         v = whittaker_lower_bound_check(-1.25, 30.0, 1.0 / (8 * math.pi))
         assert v == pytest.approx(25.55578817564735, rel=1e-10)
 
