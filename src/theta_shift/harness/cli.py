@@ -20,7 +20,7 @@ import numpy as np
 
 from ..arith import char_from_kronecker, trivial_character
 from ..expsums import kloosterman_factored, kloosterman_naive, salie_naive
-from ..modforms.eta import eta7_cusp_form
+from ..modforms.eta import eta7_cusp_form, eta7_cusp_form_on_demand
 from ..modforms.forms import load_form, save_form
 from ..modforms.residual import sym2_residue_estimate
 from ..modforms.sums import fit_exponent
@@ -53,7 +53,7 @@ def _character(args):
 
 def _load(name: str, need_M: int = 0):
     if name == "eta7":
-        return eta7_cusp_form(max(need_M, 100000))
+        return eta7_cusp_form_on_demand(max(need_M, 100000))
     return load_form(name)
 
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
             path = os.path.join(args.out, f"{args.name}.csv")
             write_csv(path, args.name, args.seed, header, rows)
             lines = lines + [f"artifact: {path}"]
-    except (ValueError, IndexError, OSError, RuntimeError) as exc:
+    except (ValueError, IndexError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in lines:

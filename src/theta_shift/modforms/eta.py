@@ -5,11 +5,15 @@ series prod (1-q^n)^3 = sum_{a>=0} (-1)^a (2a+1) q^{a(a+1)/2}, so the
 product has integer coefficients
 
     a(n) = sum over 1 + a(a+1)/2 + t b(b+1)/2 = n of
-           (-1)^(a+b) (2a+1)(2b+1),
+           (-1)^(a+b) (2a+1)(2b+1).
 
-computed here by one vectorized scatter per b (indices within one b are
-distinct, so fancy-index addition is safe).  t = 7 gives the dihedral
-level-7 form with character (-7/.), the workhorse of the experiments.
+Two routes read this identity.  `eta_cubed_pair_coeffs` builds the dense
+table a(1..M) by one vectorized scatter per b (indices within one b are
+distinct, so fancy-index addition is safe).  `eta_cubed_pair_at` gives
+a(n) at chosen n only, by testing 8(n - 1 - t b(b+1)/2) + 1 for a square
+at every b; the shifted sums read a(n^2 + h), a few thousand entries of
+a table of ~1.7e7.  t = 7 gives the dihedral level-7 form with character
+(-7/.), the workhorse of the experiments.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ import numpy as np
 
 from ..arith import char_from_kronecker
 from .forms import CuspForm
+
+# float64 holds every 8(n-1)+1 below this exactly, so sqrt finds its squares
+_EXACT_LIMIT = 2**53
+_BLOCK = 256   # n per vectorized pass: the (n, b) grid stays a few MB at n ~ 1.7e7
 
 
 def eta_cubed_pair_coeffs(M: int, t: int = 7) -> np.ndarray:
@@ -44,9 +52,72 @@ def eta_cubed_pair_coeffs(M: int, t: int = 7) -> np.ndarray:
     return out[1:]
 
 
+def _check_exact(n: int) -> None:
+    if 8 * n + 1 >= _EXACT_LIMIT:
+        raise ValueError(f"a(n) needs 8n + 1 < 2^53 for an exact square test, got n = {n}")
+
+
+def eta_cubed_pair_at(ns, t: int = 7) -> np.ndarray:
+    """a(n) at each integer n >= 1 of `ns`, as float64 holding exact integers.
+
+    n - 1 = a(a+1)/2 + t b(b+1)/2 holds iff s = 8(n - 1 - t b(b+1)/2) + 1 is
+    the square of 2a + 1, and (-1)^a (2a+1) is +sqrt(s) when sqrt(s) = 1 mod 4,
+    else -sqrt(s).  The distinct n are taken in sorted blocks, so each block
+    scans only the b its largest n allows.
+    """
+    ns = np.asarray(ns)
+    if ns.dtype.kind not in "iu":
+        raise TypeError(f"n must be integers, got dtype {ns.dtype}")
+    uniq, inverse = np.unique(ns.astype(np.int64), return_inverse=True)
+    if uniq.size:
+        if uniq[0] < 1:
+            raise ValueError(f"a(n) needs n >= 1, got n = {int(uniq[0])}")
+        _check_exact(int(uniq[-1]))
+    out = np.zeros(uniq.size)
+    for lo in range(0, uniq.size, _BLOCK):
+        s_n = 8.0 * (uniq[lo:lo + _BLOCK] - 1) + 1.0
+        b = np.arange(math.isqrt(int(s_n[-1]) // (4 * t)) + 1)   # 4t b^2 <= s
+        s = s_n[:, None] - (4 * t * b * (b + 1)).astype(np.float64)
+        root = np.maximum(s, 0.0)
+        np.floor(np.sqrt(root, out=root), out=root)
+        rows, cols = np.nonzero(root * root == s)
+        k = root[rows, cols]
+        sign = np.where((k % 4 == 1) == (cols % 2 == 0), 1.0, -1.0)
+        out[lo:lo + _BLOCK] = np.bincount(rows, sign * k * (2 * cols + 1),
+                                          minlength=s_n.size)
+    return out[inverse].reshape(ns.shape)
+
+
+class _CoeffsOnDemand:
+    """Read-only stand-in for the float64 array a(1..M): indexing with an
+    int or an int array computes just those entries."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, M: int):
+        self.M = M
+
+    def __len__(self) -> int:
+        return self.M
+
+    def __getitem__(self, idx):
+        idx = np.asarray(idx)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.M):
+            raise IndexError(f"index outside [0, {self.M}) of the coefficient array")
+        return eta_cubed_pair_at(idx + 1)[()]   # a scalar for an int index
+
+
+def _eta7(coeffs) -> CuspForm:
+    return CuspForm(level=28, weight=3, character=char_from_kronecker(-7, 28), coeffs=coeffs,
+                    label="eta(z)^3 eta(7z)^3, level 7 lifted to 28")
+
+
 def eta7_cusp_form(M: int) -> CuspForm:
     """The weight-3, level-7 dihedral form, lifted to level 28."""
-    coeffs = eta_cubed_pair_coeffs(M, t=7).astype(np.float64)
-    chi = char_from_kronecker(-7, 28)
-    return CuspForm(level=28, weight=3, character=chi, coeffs=coeffs,
-                    label="eta(z)^3 eta(7z)^3, level 7 lifted to 28")
+    return _eta7(eta_cubed_pair_coeffs(M, t=7).astype(np.float64))
+
+
+def eta7_cusp_form_on_demand(M: int) -> CuspForm:
+    """The same form, computing a(n) only where it is read (n <= M)."""
+    _check_exact(M)
+    return _eta7(_CoeffsOnDemand(M))

@@ -2,7 +2,7 @@
 
 Coefficient files are plain text so LMFDB-style exports convert with a
 one-liner: header lines `level=`, `weight=`, `char_kronecker=` or
-`char_table=`, then one `a <n> <re> [<im>]` line per coefficient.
+`char_table=`, then one `a <n> <re> [<im>]` line for each n = 1, ..., M.
 
 Forms of level N0 with 4 not dividing N0 are accepted by lifting to
 lcm(4, N0) with coefficients unchanged and the character, given by
@@ -106,6 +106,11 @@ def load_form(path) -> CuspForm:
                 if len(parts) not in (3, 4):
                     raise ValueError(f"{path}:{line_no}: malformed coefficient line")
                 n = int(parts[1])
+                if n < 1:
+                    raise ValueError(f"{path}:{line_no}: coefficient index must be >= 1, "
+                                     f"got a({n})")
+                if n in pairs:
+                    raise ValueError(f"{path}:{line_no}: duplicate coefficient a({n})")
                 re = float(parts[2])
                 im = float(parts[3]) if len(parts) == 4 else 0.0
                 pairs[n] = complex(re, im) if im else re
@@ -139,9 +144,9 @@ def load_form(path) -> CuspForm:
     if not pairs:
         raise ValueError(f"{path}: no coefficients")
     M = max(pairs)
-    missing = [n for n in range(1, M + 1) if n not in pairs]
-    if missing:
-        raise ValueError(f"{path}: coefficient gaps starting at a({missing[0]})")
+    if len(pairs) < M:   # the indices are distinct and >= 1, so one is missing
+        gap = next(n for n in range(1, M + 1) if n not in pairs)
+        raise ValueError(f"{path}: coefficient gaps starting at a({gap})")
     any_complex = any(isinstance(v, complex) for v in pairs.values())
     dtype = np.complex128 if any_complex else np.float64
     coeffs = np.array([pairs[n] for n in range(1, M + 1)], dtype=dtype)

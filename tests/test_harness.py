@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -164,6 +165,26 @@ class TestCli:
             "error: Whittaker integration failed: Required step size is too small.\n")
         assert not (tmp_path / "specfun-whittaker.csv").exists()
 
+    def test_allocation_beyond_memory_exits_cleanly(self, tmp_path, capsys):
+        # 8 PB of coefficients: beyond the user address space, so it fails at once
+        rc = main(["gen-form", "--M", str(10**15), "--file", str(tmp_path / "form.txt"),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "form.txt").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("a 0 5", "form.txt:4: coefficient index must be >= 1, got a(0)"),
+        ("a 2 4", "form.txt:4: duplicate coefficient a(2)"),
+    ])
+    def test_bad_coefficient_line_rejected(self, tmp_path, capsys, line, message):
+        path = tmp_path / "form.txt"
+        path.write_text(f"level=4\nweight=3\na 2 3\n{line}\na 1 1\n")
+        rc = main(["shifted-sum", "--form", str(path), "--h", "1",
+                   "--xmin", "1", "--xmax", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path.parent}/{message}\n"
+
     def test_readme_cli_block_matches_command_table(self):
         block = re.search(r"## CLI\n\n```bash\n(.*?)```", README.read_text(), re.S).group(1)
         lines = [ln.split("#")[0].strip() for ln in block.splitlines()
@@ -245,11 +266,16 @@ class TestCli:
          "ccd7ea5db271df7f33c79c613a4312b04e20e799a0a15d443c6e0e8c6b04f3a2"),
         (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "4", "--xmax", "512"],
          "shifted-sum", "41bd6b415a788ea97da91ee41f87a6dc77605cfa5de233eb4a20c5dcea73b335"),
+        (["shifted-sum", "--form", "eta7", "--h", "7", "--xmin", "32", "--xmax", "4096"],
+         "shifted-sum", "34c61f3d8dbe34833b5699f07eb6f8c8f033436f2dd6ca1aa5fceec438096073"),
+        (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "32", "--xmax", "4096"],
+         "shifted-sum", "7fed2a125349549e6ccd728fd76c5492d8c337594b43e89d47f2fe4a7b97bd25"),
         (["specfun", "whittaker", "--eta", "1.25", "--t", "2", "--y", "3.0", "--y", "1.0"],
          "specfun-whittaker", "391fe66504f3be89557ca116cddcea18852d3ef01f9d9f7b9665105a2689fe64"),
         (["oscillatory-map", "--n-omega", "2", "--n-T", "2"], "oscillatory-map",
          "26bcdeef27f1216e79983a638123eea9ee7475256eb2ccefe3b25e96bb5aa9f0"),
-    ], ids=["expsum-sweep", "verify-mult", "salie-bounds", "shifted-sum", "specfun-whittaker",
+    ], ids=["expsum-sweep", "verify-mult", "salie-bounds", "shifted-sum",
+            "shifted-sum-h7-4096", "shifted-sum-h1-4096", "specfun-whittaker",
             "oscillatory-map"])
     def test_expsum_artifacts_unchanged(self, tmp_path, argv, name, digest):
         # SHA-256 of CSVs recorded before a rewrite of the code that computes
@@ -258,6 +284,24 @@ class TestCli:
         # per-panel Gauss-Legendre loops (oscillatory kernel)
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
+
+    def test_sym2_estimate_unchanged(self, tmp_path, capsys):
+        # printed by the dense-table route before a(n) was computed on demand
+        assert main(["sym2", "--form", "eta7", "--ymax", "4000", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "symmetric-square residue estimate: 0.859725 (fit quality 0.0182)\n")
+
+    def test_eta7_shifted_sum_memory_bound(self, tmp_path):
+        # reads 4097 coefficients; the dense table to X = 4096 took 256 MB
+        tracemalloc.start()
+        try:
+            rc = main(["shifted-sum", "--form", "eta7", "--h", "7", "--xmax", "4096",
+                       "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 64 * 2**20
 
     def test_console_script_installed(self):
         out = subprocess.run([sys.executable, "-m", "theta_shift.harness.cli",

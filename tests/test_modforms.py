@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_shift.arith import char_from_kronecker, char_from_table, trivial_character
-from theta_shift.modforms.eta import eta7_cusp_form, eta_cubed_pair_coeffs
+from theta_shift.modforms.eta import (
+    eta7_cusp_form_on_demand,
+    eta_cubed_pair_at,
+    eta_cubed_pair_coeffs,
+)
 from theta_shift.modforms.forms import CuspForm, load_form, r1, save_form
+from theta_shift.modforms.residual import sym2_residue_estimate
+from theta_shift.modforms.sums import shifted_sum
 
 
 class TestR1:
@@ -43,6 +50,63 @@ class TestEtaCoefficients:
         c = eta_cubed_pair_coeffs(200)
         for p in (3, 5, 13, 17, 19):   # (-7/p) = -1
             assert c[p - 1] == 0
+
+
+class TestEtaOnDemand:
+    """eta_cubed_pair_at against the dense table, entry by entry and through
+    the sums the CLI computes from it."""
+
+    @pytest.mark.parametrize("which", ["n^2+h", "n^2", "all", "random"])
+    def test_equals_dense_table(self, eta7_big, which):
+        n = np.arange(1, 4097)
+        ns = {"n^2+h": np.concatenate([n * n + h for h in range(1, 8)]),
+              "n^2": n[:4000] ** 2,
+              "all": np.arange(1, 20001),
+              "random": np.random.default_rng(71).integers(1, 16_900_001, size=2000)}[which]
+        assert np.array_equal(eta_cubed_pair_at(ns), eta7_big.coeffs[ns - 1])
+
+    @pytest.mark.parametrize("t", [1, 3, 11])
+    def test_other_t_equals_dense_table(self, t):
+        assert np.array_equal(eta_cubed_pair_at(np.arange(1, 5001), t=t),
+                              eta_cubed_pair_coeffs(5000, t=t))
+
+    def test_keeps_shape_and_repeats(self):
+        assert eta_cubed_pair_at(2) == -3
+        assert eta_cubed_pair_at(np.array([[7, 2], [2, 1]])).tolist() == [[-7, -3], [-3, 1]]
+
+    @pytest.mark.parametrize("h", [1, 7])
+    def test_shifted_sums_equal_dense(self, eta7_big, h):
+        grid = [2.0**j for j in range(13)]
+        lazy = eta7_cusp_form_on_demand(eta7_big.n_coeffs)
+        assert np.array_equal(shifted_sum(lazy, h, grid), shifted_sum(eta7_big, h, grid))
+
+    def test_sym2_estimate_equals_dense(self, eta7_big):
+        grid = np.unique(np.geomspace(40, 4000, 24).astype(int))
+        lazy = eta7_cusp_form_on_demand(eta7_big.n_coeffs)
+        assert sym2_residue_estimate(lazy, grid) == sym2_residue_estimate(eta7_big, grid)
+
+    def test_form_reads_like_the_array(self, eta7_small):
+        f = eta7_cusp_form_on_demand(eta7_small.n_coeffs)
+        assert f.notes == () and f.n_coeffs == eta7_small.n_coeffs
+        assert f.coeffs.dtype == np.float64
+        assert f.a(7) == -7 and f.A(2) == eta7_small.A(2)
+        for idx in (-1, f.n_coeffs, np.array([3, f.n_coeffs])):
+            with pytest.raises(IndexError):
+                f.coeffs[idx]
+        with pytest.raises(IndexError):
+            f.a(f.n_coeffs + 1)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n >= 1, got n = {n}"):
+            eta_cubed_pair_at(np.array([5, n]))
+
+    def test_beyond_exact_square_test_rejected(self):
+        n = 2**50   # 8n + 1 = 2^53 + 1
+        with pytest.raises(ValueError, match=r"8n \+ 1 < 2\^53"):
+            eta_cubed_pair_at(np.array([3, n]))
+        with pytest.raises(ValueError, match=r"8n \+ 1 < 2\^53"):
+            eta7_cusp_form_on_demand(n)
 
 
 class TestCuspForm:
@@ -133,6 +197,33 @@ class TestLoadSave:
         path.write_text("level=4\nweight=3\na 1 1\na 3 5\n")
         with pytest.raises(ValueError, match="gap"):
             load_form(path)
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_index_below_one_rejected(self, tmp_path, n):
+        path = tmp_path / "low.txt"
+        path.write_text(f"level=4\nweight=3\na 1 1\na {n} 5\na 2 1\n")
+        with pytest.raises(ValueError, match=rf"low.txt:4: coefficient index must be >= 1, "
+                                             rf"got a\({n}\)"):
+            load_form(path)
+
+    def test_duplicate_index_rejected(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("level=4\nweight=3\na 1 1\na 2 3\na 2 4\n")
+        with pytest.raises(ValueError, match=r"dup.txt:5: duplicate coefficient a\(2\)"):
+            load_form(path)
+
+    def test_far_gap_rejected_without_scanning_it(self, tmp_path):
+        # listing every missing index up to 10^6 took 39 MB
+        path = tmp_path / "far.txt"
+        path.write_text("level=4\nweight=3\na 1 1\na 2 1\na 1000000 1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"gaps starting at a\(3\)"):
+                load_form(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_low_weight_rejected(self, tmp_path):
         path = tmp_path / "w2.txt"
