@@ -173,6 +173,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "form.txt").exists()
 
+    def test_eta7_beyond_work_budget_exits_cleanly(self, tmp_path, capsys):
+        # X = 10^6 reads a(n) to n = 10^12: hours of square tests, refused up front
+        rc = main(["shifted-sum", "--form", "eta7", "--h", "1", "--xmax", "1e6",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: eta7 coefficients on demand stop at n = 2^32")
+
     @pytest.mark.parametrize("line, message", [
         ("a 0 5", "form.txt:4: coefficient index must be >= 1, got a(0)"),
         ("a 2 4", "form.txt:4: duplicate coefficient a(2)"),

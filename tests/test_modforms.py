@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_shift.arith import char_from_kronecker, char_from_table, trivial_character
+from theta_shift.modforms import eta
 from theta_shift.modforms.eta import (
     eta7_cusp_form_on_demand,
     eta_cubed_pair_at,
@@ -65,10 +66,22 @@ class TestEtaOnDemand:
               "random": np.random.default_rng(71).integers(1, 16_900_001, size=2000)}[which]
         assert np.array_equal(eta_cubed_pair_at(ns), eta7_big.coeffs[ns - 1])
 
-    @pytest.mark.parametrize("t", [1, 3, 11])
-    def test_other_t_equals_dense_table(self, t):
-        assert np.array_equal(eta_cubed_pair_at(np.arange(1, 5001), t=t),
-                              eta_cubed_pair_coeffs(5000, t=t))
+    def test_small_passes_equal_dense_table(self, eta7_big, monkeypatch):
+        # 50 cells per pass: a few n per block at small n, b in slices beyond
+        monkeypatch.setattr(eta, "_CELLS", 50)
+        ns = np.concatenate([np.arange(1, 3001),
+                             np.random.default_rng(72).integers(1, 16_900_001, size=200)])
+        assert np.array_equal(eta_cubed_pair_at(ns), eta7_big.coeffs[ns - 1])
+
+    def test_memory_bounded_at_large_n(self):
+        # 534,523 values of b per n: a 256-row pass would hold 1.1 GB per temporary
+        tracemalloc.start()
+        try:
+            eta_cubed_pair_at(np.arange(10**12, 10**12 + 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_keeps_shape_and_repeats(self):
         assert eta_cubed_pair_at(2) == -3
@@ -105,8 +118,11 @@ class TestEtaOnDemand:
         n = 2**50   # 8n + 1 = 2^53 + 1
         with pytest.raises(ValueError, match=r"8n \+ 1 < 2\^53"):
             eta_cubed_pair_at(np.array([3, n]))
-        with pytest.raises(ValueError, match=r"8n \+ 1 < 2\^53"):
-            eta7_cusp_form_on_demand(n)
+
+    def test_on_demand_work_budget(self):
+        assert eta7_cusp_form_on_demand(2**32).n_coeffs == 2**32
+        with pytest.raises(ValueError, match=r"stop at n = 2\^32 .* got M = 4294967297"):
+            eta7_cusp_form_on_demand(2**32 + 1)
 
 
 class TestCuspForm:
