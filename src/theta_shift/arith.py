@@ -13,6 +13,7 @@ so everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -168,8 +169,6 @@ class DirichletCharacter:
 
     modulus: int
     values: tuple = field(repr=False)
-    conductor: int = 0
-    is_even: bool = True
     label: str = ""
 
     def __post_init__(self):
@@ -178,9 +177,14 @@ class DirichletCharacter:
             raise ValueError("modulus must be positive")
         if len(self.values) != n:
             raise ValueError("value table length must equal the modulus")
-        if self.conductor == 0:
-            object.__setattr__(self, "conductor", _conductor(n, self.values))
-        object.__setattr__(self, "is_even", abs(complex(self(n - 1)) - 1) < 1e-9)
+
+    @functools.cached_property
+    def conductor(self) -> int:
+        return _conductor(self.modulus, self.values)
+
+    @property
+    def is_even(self) -> bool:
+        return abs(complex(self(self.modulus - 1)) - 1) < 1e-9
 
     def __call__(self, d: int) -> complex:
         return self.values[d % self.modulus]

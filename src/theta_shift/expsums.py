@@ -32,14 +32,9 @@ _I_POW = (1, 1j, -1, -1j)
 
 @dataclass(frozen=True)
 class ExpSumResult:
-    """A complex sum value with its parameters and the applicable bound."""
+    """A complex sum value with the applicable bound."""
 
     value: complex
-    m: int
-    n: int
-    c: int
-    ell: int | None
-    character: DirichletCharacter
     bound: float
 
     @property
@@ -96,7 +91,7 @@ def kloosterman_naive(m: int, n: int, c: int, ell: int, chi: DirichletCharacter)
     _check_kloosterman_domain(c, ell, chi)
     units, invs, w = _sum_table(c, chi, ell)
     val = complex(np.sum(w * _roots(c)[(m * invs + n * units) % c]))
-    return ExpSumResult(val, m, n, c, ell, chi, weil_bound(m, n, c, chi))
+    return ExpSumResult(val, weil_bound(m, n, c, chi))
 
 
 def salie_bound(m: int, n: int, c: int, chi: DirichletCharacter) -> float:
@@ -122,10 +117,10 @@ def salie_naive(m: int, n: int, c: int, chi: DirichletCharacter) -> ExpSumResult
     """Direct summation of the (d/c)-twisted Salie sum."""
     _check_salie_domain(c, chi)
     if c == 1:
-        return ExpSumResult(1.0 + 0j, m, n, 1, None, chi, 1.0)
+        return ExpSumResult(1.0 + 0j, 1.0)
     units, invs, w = _sum_table(c, chi)
     val = complex(np.sum(w * _roots(c)[(m * invs + n * units) % c]))
-    return ExpSumResult(val, m, n, c, None, chi, salie_bound(m, n, c, chi))
+    return ExpSumResult(val, salie_bound(m, n, c, chi))
 
 
 def _salie_factored_value(m: int, n: int, c: int, chi: DirichletCharacter) -> complex:
@@ -163,7 +158,7 @@ def kloosterman_factored(m: int, n: int, c: int, ell: int, chi: DirichletCharact
     salie_part = _salie_factored_value(m * sbar, n * sbar, r, chi_r)
     kloos_part = kloosterman_naive(m * rbar, n * rbar, s, ell + r - 1, chi_s).value
     val = salie_part * kloos_part
-    return ExpSumResult(val, m, n, c, ell, chi, weil_bound(m, n, c, chi))
+    return ExpSumResult(val, weil_bound(m, n, c, chi))
 
 
 def verify_weil(m: int, n: int, c: int, ell: int, chi: DirichletCharacter) -> float:

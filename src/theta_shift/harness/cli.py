@@ -51,9 +51,9 @@ def _character(args):
     return trivial_character(args.char_mod)
 
 
-def _load(name: str, need_M: int = 0):
+def _load(name: str):
     if name == "eta7":
-        return eta7_cusp_form_on_demand(max(need_M, 100000))
+        return eta7_cusp_form_on_demand()
     return load_form(name)
 
 
@@ -153,7 +153,7 @@ def _shifted_sum(args):
     if lo > hi:
         raise ValueError(f"no power of two lies in [--xmin, --xmax] = "
                          f"[{args.xmin:g}, {args.xmax:g}]")
-    f = _load(args.form, need_M=int(args.xmax) ** 2 + args.h)
+    f = _load(args.form)
     rows = suites.shifted_sum_experiment(
         f, args.h, x_lo_exp=lo, x_hi_exp=hi, one_sided=args.one_sided)
     lines = [f"X={x:g}: S={s:.8f} S/X={sx:.8f}" for x, s, sx in rows]
@@ -171,7 +171,7 @@ def _fit(args):
 def _sym2(args):
     if args.ymax <= 40:
         raise ValueError(f"--ymax must exceed 40 (the fit starts at Y = 40), got {args.ymax}")
-    f = _load(args.form, need_M=args.ymax**2)
+    f = _load(args.form)
     r_hat, quality = sym2_residue_estimate(
         f, np.unique(np.geomspace(40, args.ymax, 24).astype(int)))
     return None, None, [f"symmetric-square residue estimate: {r_hat:.6f} "

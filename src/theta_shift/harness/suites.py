@@ -385,9 +385,6 @@ def shifted_sum_experiment(f: CuspForm, h: int, x_lo_exp: int = 5, x_hi_exp: int
                            one_sided: bool = False):
     """Dyadic sharp-cutoff sum as (X, S, S/X) rows."""
     grid = [2.0**j for j in range(x_lo_exp, x_hi_exp + 1)]
-    n_top = math.isqrt(int(grid[-1]) ** 2 - h)
-    if n_top * n_top + h > f.n_coeffs:
-        grid = [x for x in grid if x * x - h <= f.n_coeffs]
     S = shifted_sum(f, h, grid, one_sided=one_sided)
     return [(x, s, s / x) for x, s in zip(grid, S.tolist())]
 
@@ -422,8 +419,7 @@ def main_term_gate(f: CuspForm, h: int = 7):
     c_prev, c_top = rows[-2][2], rows[-1][2]
     var = abs(c_top - c_prev) / abs(c_top)
     ok = var < 0.10 and abs(c_top) > 0
-    y_top = min(4000, math.isqrt(f.n_coeffs) - 1)
-    r_hat, quality = sym2_residue_estimate(f, np.unique(np.geomspace(40, y_top, 24).astype(int)))
+    r_hat, quality = sym2_residue_estimate(f, np.unique(np.geomspace(40, 4000, 24).astype(int)))
     c_est = residual_constant(f, h, r_hat)
     dev = abs(c_est - c_top) / abs(c_top) if c_top else math.inf
     flag = "within" if dev <= 0.25 else "OUTSIDE (predicted constant off by ~sqrt 2)"

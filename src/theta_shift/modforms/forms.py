@@ -43,41 +43,38 @@ class CuspForm:
         if len(self.coeffs) == 0:
             raise ValueError("empty coefficient list")
         notes = list(self.notes)
-        if self.coeffs[0] != 1:
+        if self.a(1) != 1:
             notes.append("a(1) != 1: not arithmetically normalized (non-newform input)")
-        notes.extend(deligne_warnings(self.coeffs, self.weight))
+        notes.extend(deligne_warnings(self))
         object.__setattr__(self, "notes", tuple(notes))
 
     @property
     def n_coeffs(self) -> int:
         return len(self.coeffs)
 
-    def a(self, n: int):
-        if not 1 <= n <= len(self.coeffs):
+    def a(self, n):
+        """a(n) at an int n, or at each n of an int array."""
+        n = np.asarray(n)
+        if n.size and (n.min() < 1 or n.max() > len(self.coeffs)):
+            bad = int(n.min()) if n.min() < 1 else int(n.max())
             raise IndexError(
-                f"a({n}) unavailable: coefficients stored up to M={len(self.coeffs)}")
+                f"a({bad}) unavailable: coefficients stored up to M={len(self.coeffs)}")
         return self.coeffs[n - 1]
 
-    def A(self, n: int):
-        """Normalized coefficient a(n) / n^((k-1)/2)."""
-        return self.a(n) / float(n) ** ((self.weight - 1) / 2.0)
-
-    def A_array(self, ns: np.ndarray) -> np.ndarray:
-        ns = np.asarray(ns)
-        if ns.size and (ns.min() < 1 or ns.max() > len(self.coeffs)):
-            raise IndexError(
-                f"coefficient range [1, {len(self.coeffs)}] exceeded "
-                f"(requested up to {int(ns.max())})")
-        return self.coeffs[ns - 1] / ns.astype(np.float64) ** ((self.weight - 1) / 2.0)
+    def A(self, n):
+        """Normalized coefficient a(n) / n^((k-1)/2), at an int or an int array."""
+        e = (self.weight - 1) / 2.0
+        # an int n keeps Python's pow: numpy's can differ in the last bit when e is not 1
+        return self.a(n) / (float(n) ** e if np.ndim(n) == 0 else np.asarray(n, np.float64) ** e)
 
 
-def deligne_warnings(coeffs: np.ndarray, weight: int) -> list:
+def deligne_warnings(f: CuspForm) -> list:
     """Warn-level Deligne sanity |a(p)| <= 2 p^((k-1)/2) at primes p <= 20000."""
-    primes = primes_upto(min(len(coeffs), 20000))
+    primes = primes_upto(min(f.n_coeffs, 20000))
     if len(primes) == 0:
         return []
-    vals = np.abs(coeffs[primes - 1])
-    bound = 2.0 * primes.astype(np.float64) ** ((weight - 1) / 2.0)
+    vals = np.abs(f.a(primes))
+    bound = 2.0 * primes.astype(np.float64) ** ((f.weight - 1) / 2.0)
     bad = primes[vals > bound * (1 + 1e-12)]
     return [f"Deligne bound violated at p={p} (non-newform input?)" for p in bad[:5]]
 
@@ -166,9 +163,9 @@ def save_form(path, f: CuspForm, n_max: int | None = None) -> None:
                                               for re, im in rec["value_table"]) + "\n")
         if f.label:
             fh.write(f"label={f.label}\n")
-        complex_coeffs = np.iscomplexobj(f.coeffs)
-        for n in range(1, n_max + 1):
-            v = f.coeffs[n - 1]
+        vals = f.a(np.arange(1, n_max + 1))
+        complex_coeffs = np.iscomplexobj(vals)
+        for n, v in enumerate(vals, start=1):
             if complex_coeffs and v.imag:
                 fh.write(f"a {n} {v.real!r} {v.imag!r}\n")
             else:

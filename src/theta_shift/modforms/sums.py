@@ -38,7 +38,7 @@ def _partial_sums(f: CuspForm, h: int, n_max: int, one_sided: bool):
     accumulated left to right, so cum[j] is S after the terms n <= j."""
     ns = np.arange(1, n_max + 1)
     w = 1.0 if one_sided else 2.0
-    return ns, np.cumsum(np.concatenate(([f.A(h)], w * f.A_array(ns * ns + h))))
+    return ns, np.cumsum(np.concatenate(([f.A(h)], w * f.A(ns * ns + h))))
 
 
 def shifted_sum_scan(f: CuspForm, h: int, X_max: float, one_sided: bool = False):
@@ -57,15 +57,13 @@ def dirichlet_D_h(f: CuspForm, h: int, s: complex, cutoff: int):
     """
     if h <= 0:
         raise ValueError("shift h must be positive")
-    if cutoff + h > f.n_coeffs:
-        raise IndexError(f"cutoff {cutoff} + h needs M >= {cutoff + h} > {f.n_coeffs}")
     w = s + f.weight / 2.0 - 0.75
     total = f.a(h) * complex(h) ** (-w)
     jmax = math.isqrt(cutoff)
     js = np.arange(1, jmax + 1)
     if len(js):
         ms = js * js + h
-        terms = f.coeffs[ms - 1] * np.exp(-w * np.log(ms.astype(np.float64)))
+        terms = f.a(ms) * np.exp(-w * np.log(ms.astype(np.float64)))
         total += 2.0 * np.sum(terms)
     sigma = np.real(complex(s))
     if sigma <= 0.75:

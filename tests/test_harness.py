@@ -179,7 +179,32 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
-            "error: eta7 coefficients on demand stop at n = 2^32")
+            "error: need coefficients to n^2+h = 274876858370 > M = 4294967296")
+        assert not (tmp_path / "shifted-sum.csv").exists()
+
+    def test_eta7_sym2_beyond_work_budget_exits_cleanly(self, tmp_path, capsys):
+        rc = main(["sym2", "--form", "eta7", "--ymax", "70000", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: need a(n^2) to n=70000, i.e. M >= 4900000000\n")
+
+    @pytest.mark.parametrize("xmin, xmax, xs", [
+        ("32", "64", None), ("1", "64", None), ("1", "2", [1.0, 2.0])])
+    def test_short_file_form_needs_the_whole_window(self, tmp_path, capsys, xmin, xmax, xs):
+        # X = 64 reads a(63^2 + 1): no row is dropped to fit 10 coefficients
+        path = tmp_path / "form.txt"
+        path.write_text("level=4\nweight=3\n" + "".join(f"a {n} 1\n" for n in range(1, 11)))
+        rc = main(["shifted-sum", "--form", str(path), "--h", "1", "--xmin", xmin,
+                   "--xmax", xmax, "--out", str(tmp_path)])
+        if xs is None:
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: need coefficients to n^2+h = 3970 > M = 10\n")
+            assert not (tmp_path / "shifted-sum.csv").exists()
+        else:
+            assert rc == 0
+            _, header, rows = read_csv(tmp_path / "shifted-sum.csv")
+            assert [float(r[header.index("X")]) for r in rows] == xs
 
     @pytest.mark.parametrize("line, message", [
         ("a 0 5", "form.txt:4: coefficient index must be >= 1, got a(0)"),
@@ -209,6 +234,15 @@ class TestCli:
                   if not re.search(rf"\bargs\.{kwargs.get('dest', flag[2:].replace('-', '_'))}\b",
                                    source)]
         assert unread == []
+
+    def test_only_the_form_indexes_its_coefficients(self):
+        # CuspForm.a holds the one range check, so every other reader goes through it
+        src = Path(cli.__file__).resolve().parents[1]
+        readers = [f"{path.relative_to(src)}:{no}" for path in sorted(src.rglob("*.py"))
+                   if path != src / "modforms" / "forms.py"
+                   for no, line in enumerate(path.read_text().splitlines(), start=1)
+                   if ".coeffs[" in line]
+        assert readers == []
 
     def test_bessel_grid(self, tmp_path):
         rc = main(["specfun", "bessel", "--t", "1.0", "--q", "2.0", "--q", "5.0",

@@ -67,17 +67,17 @@ class TestEtaOnDemand:
         assert np.array_equal(eta_cubed_pair_at(ns), eta7_big.coeffs[ns - 1])
 
     def test_small_passes_equal_dense_table(self, eta7_big, monkeypatch):
-        # 50 cells per pass: a few n per block at small n, b in slices beyond
+        # 50 cells per pass: a few n per block at small n, one n per block beyond
         monkeypatch.setattr(eta, "_CELLS", 50)
         ns = np.concatenate([np.arange(1, 3001),
                              np.random.default_rng(72).integers(1, 16_900_001, size=200)])
         assert np.array_equal(eta_cubed_pair_at(ns), eta7_big.coeffs[ns - 1])
 
     def test_memory_bounded_at_large_n(self):
-        # 534,523 values of b per n: a 256-row pass would hold 1.1 GB per temporary
+        # 35,032 values of b per n: a 256-row pass would hold 72 MB per temporary
         tracemalloc.start()
         try:
-            eta_cubed_pair_at(np.arange(10**12, 10**12 + 256))
+            eta_cubed_pair_at(np.arange(2**32 - 255, 2**32 + 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -90,24 +90,24 @@ class TestEtaOnDemand:
     @pytest.mark.parametrize("h", [1, 7])
     def test_shifted_sums_equal_dense(self, eta7_big, h):
         grid = [2.0**j for j in range(13)]
-        lazy = eta7_cusp_form_on_demand(eta7_big.n_coeffs)
+        lazy = eta7_cusp_form_on_demand()
         assert np.array_equal(shifted_sum(lazy, h, grid), shifted_sum(eta7_big, h, grid))
 
     def test_sym2_estimate_equals_dense(self, eta7_big):
         grid = np.unique(np.geomspace(40, 4000, 24).astype(int))
-        lazy = eta7_cusp_form_on_demand(eta7_big.n_coeffs)
+        lazy = eta7_cusp_form_on_demand()
         assert sym2_residue_estimate(lazy, grid) == sym2_residue_estimate(eta7_big, grid)
 
     def test_form_reads_like_the_array(self, eta7_small):
-        f = eta7_cusp_form_on_demand(eta7_small.n_coeffs)
-        assert f.notes == () and f.n_coeffs == eta7_small.n_coeffs
+        f = eta7_cusp_form_on_demand()
+        assert f.notes == () and f.n_coeffs == 2**32
         assert f.coeffs.dtype == np.float64
         assert f.a(7) == -7 and f.A(2) == eta7_small.A(2)
-        for idx in (-1, f.n_coeffs, np.array([3, f.n_coeffs])):
+        ns = np.array([[7, 2], [2, 1]])
+        assert np.array_equal(f.A(ns), eta7_small.A(ns))
+        for n in (0, f.n_coeffs + 1, np.array([3, f.n_coeffs + 1])):
             with pytest.raises(IndexError):
-                f.coeffs[idx]
-        with pytest.raises(IndexError):
-            f.a(f.n_coeffs + 1)
+                f.a(n)
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_n_below_one_rejected(self, n):
@@ -115,14 +115,14 @@ class TestEtaOnDemand:
             eta_cubed_pair_at(np.array([5, n]))
 
     def test_beyond_exact_square_test_rejected(self):
-        n = 2**50   # 8n + 1 = 2^53 + 1
-        with pytest.raises(ValueError, match=r"8n \+ 1 < 2\^53"):
-            eta_cubed_pair_at(np.array([3, n]))
+        with pytest.raises(ValueError, match=r"n <= 2\^32, got n = 4294967297"):
+            eta_cubed_pair_at(np.array([3, 2**32 + 1]))
 
     def test_on_demand_work_budget(self):
-        assert eta7_cusp_form_on_demand(2**32).n_coeffs == 2**32
-        with pytest.raises(ValueError, match=r"stop at n = 2\^32 .* got M = 4294967297"):
-            eta7_cusp_form_on_demand(2**32 + 1)
+        f = eta7_cusp_form_on_demand()
+        assert f.n_coeffs == 2**32
+        with pytest.raises(IndexError, match=r"a\(4294967297\) unavailable"):
+            f.a(2**32 + 1)
 
 
 class TestCuspForm:
