@@ -294,7 +294,7 @@ def char_factor(chi: DirichletCharacter, r: int, s: int):
         # chi_f(d) = chi(d') with d' = d mod nf, d' = 1 mod ng
         if nf == 1:
             return trivial_character(1)
-        _, inv_ng, _ = _ext_gcd(ng, nf)
+        inv_ng = pow(ng, -1, nf)
         vals = []
         for d in range(nf):
             if math.gcd(d, nf) != 1:
@@ -309,26 +309,10 @@ def char_factor(chi: DirichletCharacter, r: int, s: int):
     return component(nr, ns), component(ns, nr)
 
 
-def _ext_gcd(a: int, b: int):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def inverse_mod(a: int, n: int) -> int:
-    if n == 1:
-        return 0
-    g, x, _ = _ext_gcd(a % n, n)
-    if g != 1:
+    if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not invertible mod {n}")
-    return x % n
+    return pow(a, -1, n)
 
 
 def divisor_count(n: int) -> int:

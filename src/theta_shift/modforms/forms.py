@@ -151,8 +151,7 @@ def load_form(path) -> CuspForm:
                     label=header.get("label", str(path)), notes=tuple(notes))
 
 
-def save_form(path, f: CuspForm, n_max: int | None = None) -> None:
-    n_max = min(n_max or f.n_coeffs, f.n_coeffs)
+def save_form(path, f: CuspForm) -> None:
     with open(path, "w") as fh:
         fh.write(f"level={f.level}\nweight={f.weight}\n")
         rec = serialize_character(f.character)
@@ -163,7 +162,7 @@ def save_form(path, f: CuspForm, n_max: int | None = None) -> None:
                                               for re, im in rec["value_table"]) + "\n")
         if f.label:
             fh.write(f"label={f.label}\n")
-        vals = f.a(np.arange(1, n_max + 1))
+        vals = f.a(np.arange(1, f.n_coeffs + 1))
         complex_coeffs = np.iscomplexobj(vals)
         for n, v in enumerate(vals, start=1):
             if complex_coeffs and v.imag:

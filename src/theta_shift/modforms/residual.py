@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..arith import DirichletCharacter, factorize, kronecker_array
+from ..arith import factorize, kronecker_array
 from ..specfun.mellin import direct_G
 from .forms import CuspForm, r1
 
@@ -35,28 +35,11 @@ def residual_conditions(f: CuspForm) -> list:
     if n4 % 2 == 0 or not _is_squarefree(n4):
         problems.append("N/4 must be odd and square-free")
     else:
-        try:
-            chi_ref = char_from_kronecker_swapped(n4, f.level)
-            match = all(
-                abs(complex(f.character(d)) - complex(chi_ref(d))) < 1e-9
-                for d in range(f.level)
-                if math.gcd(d, f.level) == 1
-            )
-            if not match:
-                problems.append("character must be (./(N/4))")
-        except ValueError:
+        units = np.flatnonzero(np.gcd(np.arange(f.level), f.level) == 1)
+        diff = f.character.array()[units] - kronecker_array(units, n4)
+        if np.max(np.abs(diff)) >= 1e-9:
             problems.append("character must be (./(N/4))")
     return problems
-
-
-def char_from_kronecker_swapped(n4: int, N: int):
-    """The character d -> (d / n4), i.e. Kronecker with varying numerator."""
-    d = np.arange(N)
-    vals = np.where(np.gcd(d, N) == 1, kronecker_array(d, n4), 0)
-    chi = DirichletCharacter(modulus=N, values=tuple(vals.tolist()),
-                             label=f"(./{n4}) mod {N}")
-    chi.validate()
-    return chi
 
 
 def residual_constant(f: CuspForm, h: int, R: float) -> float:

@@ -77,10 +77,6 @@ def random_gamma0_matrix(rng: np.random.Generator, max_entry: int = 50):
         a = inverse_mod(d, abs(c))
         if a > abs(c) // 2:
             a -= abs(c)
-        if (a * d - 1) % c != 0:
-            a = -a if (-a * d - 1) % c == 0 else a
-        if (a * d - 1) % c != 0:
-            continue
         b = (a * d - 1) // c
         if abs(a) <= max_entry and abs(b) <= max_entry:
             return (a, b, c, d)

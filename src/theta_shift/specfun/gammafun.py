@@ -1,10 +1,9 @@
-"""Complex log-gamma and digamma via Stirling series with recurrence shift.
+"""Complex log-gamma and digamma on the principal branch, by scipy.special.
 
-Self-contained (Bernoulli numbers only).  Arguments are shifted up by the
-recurrence until Re z >= 12, where the Stirling tail converges fast; the
-shift uses principal logs, which reproduces the standard principal branch
-of log-gamma in each half-plane (the path z -> z+n never crosses the cut
-when Im z != 0).  digamma is single-valued, so its shift needs no care.
+Arguments are cast to complex first: for a real negative input scipy's
+`loggamma` returns nan, while for complex input it gives the principal
+branch.  Each Gamma-function name stays a plain function of this module,
+so tracers that wrap names here see every evaluation.
 """
 
 from __future__ import annotations
@@ -12,104 +11,34 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-
-# B_{2n} for n = 1..15
-_BERNOULLI = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-    43867.0 / 798,
-    -174611.0 / 330,
-    854513.0 / 138,
-    -236364091.0 / 2730,
-    8553103.0 / 6,
-    -23749461029.0 / 870,
-    8615841276005.0 / 14322,
-)
-
-_LOG_2PI = 1.8378770664093454836
-_SHIFT = 12.0
+from scipy.special import loggamma, psi
 
 EULER_GAMMA = 0.5772156649015328606
 
 
-def _is_pole(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
-
-
-def _stirling_log_gamma(z: complex) -> complex:
-    out = (z - 0.5) * cmath.log(z) - z + 0.5 * _LOG_2PI
-    zz = z * z
-    rec = 1.0 / z
-    for n, b in enumerate(_BERNOULLI, start=1):
-        out += b / (2 * n * (2 * n - 1)) * rec
-        rec /= zz
-    return out
+def _pole_check(z: complex, name: str) -> None:
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+        raise ValueError(f"{name} pole at z={z}")
 
 
 def log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma(z); raises at nonpositive integers."""
     z = complex(z)
-    if _is_pole(z):
-        raise ValueError(f"log_gamma pole at z={z}")
-    shift = 0.0 + 0.0j
-    while z.real < _SHIFT:
-        shift += cmath.log(z)
-        z = z + 1.0
-    return _stirling_log_gamma(z) - shift
+    _pole_check(z, "log_gamma")
+    return complex(loggamma(z))
 
 
 def gamma(z: complex) -> complex:
     return cmath.exp(log_gamma(z))
 
 
-def _stirling_digamma(z: complex) -> complex:
-    out = cmath.log(z) - 0.5 / z
-    zz = z * z
-    rec = 1.0 / zz
-    for n, b in enumerate(_BERNOULLI, start=1):
-        out -= b / (2 * n) * rec
-        rec /= zz
-    return out
-
-
 def digamma(z: complex) -> complex:
-    """psi(z) to ~1e-12 relative; raises at nonpositive integers."""
+    """psi(z); raises at nonpositive integers."""
     z = complex(z)
-    if _is_pole(z):
-        raise ValueError(f"digamma pole at z={z}")
-    acc = 0.0 + 0.0j
-    while z.real < _SHIFT:
-        acc += 1.0 / z
-        z = z + 1.0
-    return _stirling_digamma(z) - acc
+    _pole_check(z, "digamma")
+    return complex(psi(z))
 
 
 def log_gamma_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized principal log-gamma over a complex array.
-
-    Uniform recurrence depth per call keeps this branch-correct; meant
-    for contour integrands where thousands of nearby points are needed.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.zeros_like(z)
-    depth = int(max(0.0, np.ceil(_SHIFT - np.min(z.real))))
-    w = z.copy()
-    for _ in range(depth):
-        mask = w.real < _SHIFT
-        if not mask.any():
-            break
-        out[mask] -= np.log(w[mask])
-        w[mask] += 1.0
-    ww = w * w
-    acc = (w - 0.5) * np.log(w) - w + 0.5 * _LOG_2PI
-    rec = 1.0 / w
-    for n, b in enumerate(_BERNOULLI, start=1):
-        acc += b / (2 * n * (2 * n - 1)) * rec
-        rec /= ww
-    return acc + out
+    """Principal log-gamma over a complex array."""
+    return loggamma(np.asarray(z, dtype=np.complex128))

@@ -275,7 +275,9 @@ class TestVectorRoutes:
 def test_inverse_mod():
     assert inverse_mod(3, 10) == 7
     assert inverse_mod(1, 1) == 0
-    with pytest.raises(ValueError):
+    assert inverse_mod(-3, 10) == 3
+    assert inverse_mod(13, 10) == 7
+    with pytest.raises(ValueError, match="^2 is not invertible mod 4$"):
         inverse_mod(2, 4)
 
 

@@ -1,10 +1,13 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from theta_shift.specfun import gammafun
 from theta_shift.specfun.gammafun import (
     EULER_GAMMA,
     digamma,
@@ -14,6 +17,37 @@ from theta_shift.specfun.gammafun import (
 )
 
 mp.mp.dps = 30
+
+# the arguments the library evaluates: 1 + 2it (Whittaker norm, J_{2it} prefactor)
+# and 1/2 - eta + it (Mellin-Barnes and oscillatory gamma ratios)
+_T = np.linspace(0.0, 40.0, 161)
+LIBRARY_POINTS = [complex(1.0, 2.0 * t) for t in _T] + [
+    complex(0.5 - eta, t) for eta in (-1.25, -0.75, 0.75, 1.25) for t in _T]
+
+
+@pytest.mark.parametrize("fn, ref_fn", [(log_gamma, mp.loggamma), (digamma, mp.digamma)],
+                         ids=["log_gamma", "digamma"])
+def test_library_points_against_mpmath(fn, ref_fn):
+    for z in LIBRARY_POINTS:
+        ref = complex(ref_fn(z))
+        assert abs(fn(z) - ref) <= 5e-15 * max(abs(ref), 1.0), z
+
+
+def test_only_gammafun_takes_gamma_from_scipy():
+    # the tracer counts Gamma evaluations on gammafun's names; a second route would go uncounted
+    names = {"gamma", "loggamma", "gammaln", "psi", "digamma"}
+    here = Path(gammafun.__file__).resolve()
+    src = here.parents[1]
+    routes = [f"{path.relative_to(src)}:{node.lineno}" for path in sorted(src.rglob("*.py"))
+              if path != here
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ImportFrom) and node.module == "scipy.special"
+              and names & {a.name for a in node.names}
+              # a whole-module import reaches every name unseen
+              or isinstance(node, ast.ImportFrom) and node.module == "scipy"
+              and "special" in {a.name for a in node.names}
+              or isinstance(node, ast.Import) and "scipy.special" in {a.name for a in node.names}]
+    assert routes == []
 
 
 class TestLogGamma:
@@ -57,12 +91,13 @@ class TestLogGamma:
                 log_gamma(z)
 
     def test_vectorized_matches_scalar(self):
+        # scalar reference is mpmath: log_gamma and log_gamma_vec share scipy underneath
         rng = np.random.default_rng(2)
         z = rng.uniform(-40, 40, 64) + 1j * rng.uniform(-40, 40, 64)
         z = z[np.abs(z.imag) > 0.01]
         v = log_gamma_vec(z)
-        s = np.array([log_gamma(w) for w in z])
-        assert np.max(np.abs(v - s)) < 1e-11
+        ref = np.array([complex(mp.loggamma(w)) for w in z])
+        assert np.max(np.abs(v - ref)) < 1e-11
 
 
 class TestDigamma:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from theta_shift.arith import char_from_kronecker, char_from_table, trivial_character
 from theta_shift.modforms import eta
 from theta_shift.modforms.eta import (
+    eta7_cusp_form,
     eta7_cusp_form_on_demand,
     eta_cubed_pair_at,
     eta_cubed_pair_coeffs,
@@ -177,7 +178,7 @@ class TestLoadSave:
 
     def test_save_then_load(self, tmp_path, eta7_small):
         path = tmp_path / "out.txt"
-        save_form(path, eta7_small, n_max=50)
+        save_form(path, eta7_cusp_form(50))
         f = load_form(path)
         assert f.level == 28 and f.weight == 3
         assert np.allclose(f.coeffs, eta7_small.coeffs[:50])
