@@ -158,40 +158,39 @@ def epsilon_d(d: int) -> complex:
     return 1 if d % 4 == 1 else 1j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletCharacter:
     """A Dirichlet character mod N given by its full value table.
 
-    values[d] is the character at the residue d, zero when gcd(d, N) > 1.
+    values[d] is the character at the residue d, zero when gcd(d, N) > 1,
+    held as one read-only complex128 array that readers index directly.
     The table representation keeps factorization and conductor logic as
     plain table surgery, which is all we need at desk-scale moduli.
     """
 
     modulus: int
-    values: tuple = field(repr=False)
+    values: np.ndarray = field(repr=False)
     label: str = ""
 
     def __post_init__(self):
-        n = self.modulus
-        if n <= 0:
+        if self.modulus <= 0:
             raise ValueError("modulus must be positive")
-        if len(self.values) != n:
+        vals = np.array(self.values, dtype=np.complex128)
+        if vals.shape != (self.modulus,):
             raise ValueError("value table length must equal the modulus")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
     @functools.cached_property
     def conductor(self) -> int:
-        return _conductor(self.modulus, self.values)
-
-    @property
-    def is_even(self) -> bool:
-        return abs(complex(self(self.modulus - 1)) - 1) < 1e-9
+        """Least f | N with chi = 1 on the units = 1 mod f."""
+        n = self.modulus
+        d = np.arange(n)
+        off = d[(np.gcd(d, n) == 1) & (np.abs(self.values - 1) >= 1e-9)] - 1
+        return next((int(f) for f in d[n % (d + 1) == 0] + 1 if not np.any(off % f == 0)), n)
 
     def __call__(self, d: int) -> complex:
         return self.values[d % self.modulus]
-
-    def array(self) -> np.ndarray:
-        """The value table as a complex128 array."""
-        return np.array(self.values, dtype=np.complex128)
 
     def validate(self, exhaustive: bool = False) -> None:
         """Check the table is a genuine character (multiplicative, unit values).
@@ -201,11 +200,11 @@ class DirichletCharacter:
         unit pair, which the property tests use at small moduli.
         """
         n = self.modulus
-        vals = self.array()
+        vals = self.values
         if vals[1 % n] != 1:
             raise ValueError("character must take value 1 at d = 1")
         coprime = np.gcd(np.arange(n), n) == 1
-        non_unit = coprime & (np.abs(np.abs(vals) - 1.0) > 1e-12)
+        non_unit = coprime & ~(np.abs(np.abs(vals) - 1.0) <= 1e-12)   # nan too
         stray = ~coprime & (vals != 0)
         bad = non_unit | stray
         if bad.any():
@@ -223,34 +222,9 @@ class DirichletCharacter:
                 raise ValueError(f"multiplicativity fails at ({d},{units[np.argmax(broken)]})")
 
 
-def _conductor(n: int, values) -> int:
-    """Least modulus f | n through which the character factors."""
-    for f in sorted(_divisors(n)):
-        # induced by a character mod f iff chi(a) = 1 whenever a = 1 mod f
-        if all(
-            abs(complex(values[a]) - 1) < 1e-9
-            for a in range(1, n, f)
-            if math.gcd(a, n) == 1
-        ):
-            return f
-    return n
-
-
-def _divisors(n: int) -> list:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
 def trivial_character(n: int) -> DirichletCharacter:
-    vals = tuple(1 if math.gcd(d, n) == 1 else 0 for d in range(n))
-    return DirichletCharacter(modulus=n, values=vals, label=f"trivial mod {n}")
+    return DirichletCharacter(modulus=n, values=np.gcd(np.arange(n), n) == 1,
+                              label=f"trivial mod {n}")
 
 
 def char_from_kronecker(D: int, N: int) -> DirichletCharacter:
@@ -265,14 +239,13 @@ def char_from_kronecker(D: int, N: int) -> DirichletCharacter:
     vals = np.where(np.gcd(d, N) == 1, kronecker_array(D, d), 0)
     if np.any(vals[N:] != vals[:N]):
         raise ValueError(f"(D/.) with D={D} is not periodic mod {N}")
-    chi = DirichletCharacter(modulus=N, values=tuple(vals[:N].tolist()),
-                             label=f"({D}/.) mod {N}")
+    chi = DirichletCharacter(modulus=N, values=vals[:N], label=f"({D}/.) mod {N}")
     chi.validate()
     return chi
 
 
 def char_from_table(N: int, values) -> DirichletCharacter:
-    chi = DirichletCharacter(modulus=N, values=tuple(values))
+    chi = DirichletCharacter(modulus=N, values=values)
     chi.validate()
     return chi
 
@@ -291,20 +264,11 @@ def char_factor(chi: DirichletCharacter, r: int, s: int):
     nr, ns = math.gcd(N, r), math.gcd(N, s)
 
     def component(nf: int, ng: int) -> DirichletCharacter:
-        # chi_f(d) = chi(d') with d' = d mod nf, d' = 1 mod ng
-        if nf == 1:
-            return trivial_character(1)
-        inv_ng = pow(ng, -1, nf)
-        vals = []
-        for d in range(nf):
-            if math.gcd(d, nf) != 1:
-                vals.append(0)
-                continue
-            # d' = 1 + ng * k with ng*k = d-1 mod nf
-            k = ((d - 1) * inv_ng) % nf
-            dp = (1 + ng * k) % N if N > 1 else 0
-            vals.append(chi(dp))
-        return DirichletCharacter(modulus=nf, values=tuple(vals))
+        # chi_f(d) = chi(d') with d' = d mod nf, d' = 1 mod ng: d' = 1 + ng k, ng k = d-1 mod nf
+        d = np.arange(nf)
+        dp = (1 + ng * ((d - 1) * pow(ng, -1, nf) % nf)) % N
+        vals = np.where(np.gcd(d, nf) == 1, chi.values[dp], 0)
+        return DirichletCharacter(modulus=nf, values=vals)
 
     return component(nr, ns), component(ns, nr)
 
@@ -348,21 +312,3 @@ def primes_upto(n: int) -> np.ndarray:
             sieve[p * p:: p] = False
     return np.nonzero(sieve)[0]
 
-
-def serialize_character(chi: DirichletCharacter) -> dict:
-    """Structured record: kronecker form when labeled as one, else a table."""
-    label = chi.label
-    if label.startswith("(") and "/.) mod" in label:
-        D = int(label[1:label.index("/")])
-        return {"modulus": chi.modulus, "kronecker_discriminant": D}
-    table = [(complex(v).real, complex(v).imag) for v in chi.values]
-    return {"modulus": chi.modulus, "value_table": table}
-
-
-def deserialize_character(rec: dict) -> DirichletCharacter:
-    if "kronecker_discriminant" in rec:
-        return char_from_kronecker(rec["kronecker_discriminant"], rec["modulus"])
-    vals = []
-    for re, im in rec["value_table"]:
-        vals.append(complex(re, im) if im else (int(re) if re == int(re) else re))
-    return char_from_table(rec["modulus"], vals)

@@ -51,7 +51,7 @@ def _sum_table(c: int, chi: DirichletCharacter, ell: int | None = None):
     weights do not depend on how the tables are built.
     """
     units, invs = unit_table(c)
-    chiv = np.conjugate(chi.array()[units % chi.modulus])
+    chiv = np.conjugate(chi.values[units % chi.modulus])
     if ell is None:
         return units, invs, chiv * kronecker_array(units, c)
     # eps_d^ell depends on d mod 4 and ell mod 4 only

@@ -25,7 +25,7 @@ from ..modforms.forms import load_form, save_form
 from ..modforms.residual import sym2_residue_estimate
 from ..modforms.sums import fit_exponent
 from ..specfun.besselj import bessel_J_imag_order
-from ..specfun.whittaker import WhittakerParams, whittaker_W
+from ..specfun.whittaker import whittaker_W
 from . import suites
 from .csvio import read_csv, write_csv
 
@@ -43,6 +43,13 @@ def _seed(text: str) -> int:
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {seed}")
     return seed
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
 
 
 def _character(args):
@@ -112,7 +119,7 @@ def _specfun_whittaker(args):
     if (args.t is None) == (args.mu is None):
         raise ValueError("exactly one of --t / --mu is required")
     mu = 1j * args.t if args.t is not None else args.mu
-    rows = [(args.eta, str(mu), y, whittaker_W(WhittakerParams(args.eta, mu, y)))
+    rows = [(args.eta, str(mu), y, whittaker_W(args.eta, mu, y))
             for y in sorted(args.y)]
     lines = [f"W({args.eta},{mu})({y}) = {w:.12e}" for *_, y, w in rows]
     return ["eta", "mu", "y", "W"], rows, lines, True
@@ -215,19 +222,19 @@ COMMANDS = {
     ), _salie_bounds),
     "specfun-check": ("kernel identity suite", (), (), _specfun_check),
     "specfun-whittaker": ("point or ratio-grid values", (), (
-        ("--eta", dict(type=float, required=True)),
-        ("--t", dict(type=float, default=None, help="imaginary second parameter it")),
-        ("--mu", dict(type=float, default=None, help="real second parameter")),
-        ("--y", dict(type=float, action="append", required=True)),
+        ("--eta", dict(type=_finite, required=True)),
+        ("--t", dict(type=_finite, default=None, help="imaginary second parameter it")),
+        ("--mu", dict(type=_finite, default=None, help="real second parameter")),
+        ("--y", dict(type=_finite, action="append", required=True)),
     ), _specfun_whittaker),
     "specfun-bessel": ("J of imaginary order on a grid", (), (
-        ("--t", dict(type=float, action="append", required=True)),
-        ("--q", dict(type=float, action="append", required=True)),
+        ("--t", dict(type=_finite, action="append", required=True)),
+        ("--q", dict(type=_finite, action="append", required=True)),
     ), _specfun_bessel),
     "oscillatory-map": ("G-kernel bound map", ("specfun-oscillatory",), (
         ("--n-omega", dict(type=int, default=8)),
         ("--n-T", dict(type=int, default=6)),
-        ("--kappa", dict(type=float, action="append", default=None)),
+        ("--kappa", dict(type=_finite, action="append", default=None)),
     ), _oscillatory_map),
     "specfun-mellin-barnes": ("contour vs direct checks", (), (), _mellin_barnes),
     "theta-check": ("weight-1/2 multiplier residuals", (), (
@@ -236,14 +243,14 @@ COMMANDS = {
     "shifted-sum": ("sharp-cutoff experiment", (), (
         ("--form", dict(required=True, help="coefficient file, or 'eta7'")),
         ("--h", dict(type=int, required=True)),
-        ("--xmax", dict(type=float, default=4096.0)),
-        ("--xmin", dict(type=float, default=32.0)),
+        ("--xmax", dict(type=_finite, default=4096.0)),
+        ("--xmin", dict(type=_finite, default=32.0)),
         ("--one-sided", dict(action="store_true",
                              help="count n >= 0 once instead of the square-counting weight")),
     ), _shifted_sum),
     "fit": ("exponent fit of a shifted-sum CSV", (), (
         ("--in", dict(dest="infile", required=True)),
-        ("--c", dict(type=float, default=0.0, help="main-term constant to subtract")),
+        ("--c", dict(type=_finite, default=0.0, help="main-term constant to subtract")),
     ), _fit),
     "sym2": ("symmetric-square residue estimate", (), (
         ("--form", dict(required=True)),

@@ -19,9 +19,9 @@ import numpy as np
 
 from ..arith import (
     DirichletCharacter,
-    deserialize_character,
+    char_from_kronecker,
+    char_from_table,
     primes_upto,
-    serialize_character,
     trivial_character,
 )
 
@@ -126,16 +126,14 @@ def load_form(path) -> CuspForm:
     if level != level0:
         notes.append(f"level lifted {level0} -> {level}")
     if "char_kronecker" in header:
-        chi = deserialize_character({"modulus": level,
-                                     "kronecker_discriminant": int(header["char_kronecker"])})
+        chi = char_from_kronecker(int(header["char_kronecker"]), level)
     elif "char_table" in header:
-        table = [complex(v) for v in header["char_table"].split(",")]
+        table = np.array([complex(v) for v in header["char_table"].split(",")])
         if len(table) != level0:
             raise ValueError(f"{path}: char_table needs {level0} values, got {len(table)}")
         # lifted like the Kronecker path: chi(d) = table[d mod level0] on units mod level
-        lifted = [table[d % level0] if math.gcd(d, level) == 1 else 0j for d in range(level)]
-        chi = deserialize_character({"modulus": level,
-                                     "value_table": [(v.real, v.imag) for v in lifted]})
+        d = np.arange(level)
+        chi = char_from_table(level, np.where(np.gcd(d, level) == 1, table[d % level0], 0))
     else:
         chi = trivial_character(level)
     if not pairs:
@@ -154,12 +152,12 @@ def load_form(path) -> CuspForm:
 def save_form(path, f: CuspForm) -> None:
     with open(path, "w") as fh:
         fh.write(f"level={f.level}\nweight={f.weight}\n")
-        rec = serialize_character(f.character)
-        if "kronecker_discriminant" in rec:
-            fh.write(f"char_kronecker={rec['kronecker_discriminant']}\n")
+        label = f.character.label
+        if label.startswith("(") and "/.) mod" in label:   # Kronecker form when labeled as one
+            fh.write(f"char_kronecker={int(label[1:label.index('/')])}\n")
         else:
-            fh.write("char_table=" + ",".join(repr(complex(re, im)) if im else repr(re)
-                                              for re, im in rec["value_table"]) + "\n")
+            fh.write("char_table=" + ",".join(repr(v) if v.imag else repr(v.real)
+                                              for v in map(complex, f.character.values)) + "\n")
         if f.label:
             fh.write(f"label={f.label}\n")
         vals = f.a(np.arange(1, f.n_coeffs + 1))

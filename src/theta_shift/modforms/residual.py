@@ -36,7 +36,7 @@ def residual_conditions(f: CuspForm) -> list:
         problems.append("N/4 must be odd and square-free")
     else:
         units = np.flatnonzero(np.gcd(np.arange(f.level), f.level) == 1)
-        diff = f.character.array()[units] - kronecker_array(units, n4)
+        diff = f.character.values[units] - kronecker_array(units, n4)
         if np.max(np.abs(diff)) >= 1e-9:
             problems.append("character must be (./(N/4))")
     return problems

@@ -23,6 +23,8 @@ def shifted_sum(f: CuspForm, h: int, X_grid, one_sided: bool = False) -> np.ndar
     X_grid = np.atleast_1d(np.asarray(X_grid, dtype=np.float64))
     if np.any(np.diff(X_grid) <= 0):
         raise ValueError("X grid must be strictly increasing")
+    if not np.all(np.abs(X_grid) < 2.0**511):   # X^2 and the fuzz below stay finite
+        raise ValueError(f"X = {np.max(np.abs(X_grid)):g} is too large: X^2 overflows a double")
     n_needed = math.isqrt(max(int(X_grid[-1] ** 2) - h, 0))
     if n_needed * n_needed + h > f.n_coeffs:
         raise IndexError(

@@ -108,6 +108,7 @@ def bessel_J_imag_order(t: float, q):
 
     A scalar q gives a Python complex; an array q gives a complex ndarray
     of the same shape, each branch evaluated on its elements at once.
+    Raises RuntimeError when a value leaves double range.
     """
     qa = np.asarray(q, dtype=np.float64)
     flat = qa.ravel()
@@ -123,6 +124,9 @@ def bessel_J_imag_order(t: float, q):
         out[hankel] = _hankel(t, flat[hankel])
     for i in np.flatnonzero(~(series | hankel)):
         out[i] = _series_boosted(t, float(flat[i]))
+    overflow = ~np.isfinite(out)
+    if overflow.any():
+        raise RuntimeError(f"J_(2it) at t={t:g}, q={flat[overflow][0]:g} leaves double range")
     if qa.ndim == 0:
         return complex(out[0])
     return out.reshape(qa.shape)

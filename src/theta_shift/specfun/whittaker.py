@@ -56,21 +56,6 @@ class AccuracyWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class WhittakerParams:
-    """First parameter eta, second parameter mu (real or purely imaginary),
-    and the positive argument y."""
-
-    eta: float
-    mu: complex
-    y: float
-
-    def __post_init__(self):
-        _mu2_of(self.mu)
-        if self.y <= 0:
-            raise ValueError(f"argument must be positive, got y={self.y}")
-
-
 def _asymptotic_v(eta: float, mu2: float, y0: float):
     """Tail series v ~ sum a_s y^-s and its derivative at y0, or None if the
     series cannot reach machine accuracy before diverging."""
@@ -181,14 +166,13 @@ def whittaker_solution(eta: float, mu: complex, y_min: float, y_max: float) -> W
     return _solve_scaled(float(eta), _mu2_of(mu), float(y_min), float(y_max))
 
 
-def whittaker_W(p: WhittakerParams) -> float:
-    """W_{eta,mu}(y), real-valued in both parameter regimes."""
-    if p.y < _Y_TINY:
-        warnings.warn(
-            f"W requested at y={p.y} < {_Y_TINY}; accuracy degraded",
-            AccuracyWarning,
-        )
-    return float(whittaker_W_grid(p.eta, p.mu, p.y)[0])
+def whittaker_W(eta: float, mu: complex, y: float) -> float:
+    """W_{eta,mu}(y) at one positive y, real-valued in both parameter regimes."""
+    if not y > 0:   # nan too
+        raise ValueError(f"argument must be positive, got y={y}")
+    if y < _Y_TINY:
+        warnings.warn(f"W requested at y={y} < {_Y_TINY}; accuracy degraded", AccuracyWarning)
+    return float(whittaker_W_grid(eta, mu, y)[0])
 
 
 def whittaker_W_grid(eta: float, mu: complex, ys) -> np.ndarray:

@@ -106,6 +106,11 @@ class TestBesselJ:
         print(f"worst relative error on the 12t^2 <= q < 16t^2 band: {worst:.2e}")
         assert worst <= 1e-10
 
+    def test_value_beyond_double_range_raises(self):
+        # |J_(2it)(q)| grows like e^(pi t): at t = 1e9 it overflows a double
+        with pytest.raises(RuntimeError, match=r"t=1e\+09, q=20 leaves double range"):
+            bessel_J_imag_order(1e9, 20.0)
+
     def test_hankel_truncation_above_target_raises(self):
         # at t = 3, q = 15 the first term already grows: no truncation
         # reaches the 1e-8 target

@@ -235,6 +235,17 @@ class TestCli:
                                    source)]
         assert unread == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, (_, _, arguments, _) in COMMANDS.items()
+        for flag, kwargs in arguments if kwargs.get("type") in (float, cli._finite)])
+    def test_non_finite_float_option_rejected(self, tmp_path, capsys, name, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([name, flag, value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_only_the_form_indexes_its_coefficients(self):
         # CuspForm.a holds the one range check, so every other reader goes through it
         src = Path(cli.__file__).resolve().parents[1]

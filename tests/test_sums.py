@@ -48,6 +48,11 @@ class TestShiftedSum:
         s = shifted_sum(f, 1, [10.04, 10.09])  # no n^2+1 in (10.04^2, 10.09^2]
         assert s[0] == s[1]
 
+    def test_overflowing_X_rejected(self, eta7_small):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"X = 1e\+300 is too large"):
+                shifted_sum(eta7_small, 1, [4.0, 1e300])
+
     def test_coefficient_shortage_names_requirement(self, eta7_small):
         with pytest.raises(IndexError, match=r"n\^2\+h"):
             shifted_sum(eta7_small, 1, [1e6])

@@ -6,7 +6,6 @@ import pytest
 
 from theta_shift.specfun.whittaker import (
     AccuracyWarning,
-    WhittakerParams,
     whittaker_W,
     whittaker_W_grid,
     whittaker_l2_norm,
@@ -24,27 +23,27 @@ mp.mp.dps = 25
 class TestClosedForms:
     def test_exponential_reduction(self):
         for y in (0.3, 1.0, 5.0, 20.0):
-            assert whittaker_W(WhittakerParams(0.0, 0.5, y)) == pytest.approx(
+            assert whittaker_W(0.0, 0.5, y) == pytest.approx(
                 math.exp(-y / 2), rel=1e-12)
 
     def test_residual_spectrum_shape(self):
         # W_{b+1/2, b}(y) = e^{-y/2} y^{b+1/2} at b = 1/4
         b = 0.25
         for y in (0.2, 1.7, 9.0):
-            assert whittaker_W(WhittakerParams(b + 0.5, b, y)) == pytest.approx(
+            assert whittaker_W(b + 0.5, b, y) == pytest.approx(
                 math.exp(-y / 2) * y ** (b + 0.5), rel=1e-12)
 
     def test_against_reference_imaginary_parameter(self):
         for (eta, t, y) in [(1.25, 1.0, 0.4), (1.25, 2.0, 3.0), (-1.25, 2.0, 0.7),
                             (0.25, 5.0, 6.0), (2.25, 3.0, 1.0)]:
-            got = whittaker_W(WhittakerParams(eta, 1j * t, y))
+            got = whittaker_W(eta, 1j * t, y)
             ref = complex(mp.whitw(eta, 1j * t, y))
             assert abs(ref.imag) < 1e-20 * abs(ref)
             assert got == pytest.approx(ref.real, rel=5e-12)
 
     def test_against_reference_real_parameter(self):
         for (eta, mu, y) in [(2.25, 0.25, 0.9), (-2.25, 0.25, 2.0), (4.25, 0.25, 4.0)]:
-            got = whittaker_W(WhittakerParams(eta, mu, y))
+            got = whittaker_W(eta, mu, y)
             ref = float(mp.whitw(eta, mu, y))
             assert got == pytest.approx(ref, rel=5e-12)
 
@@ -52,19 +51,20 @@ class TestClosedForms:
 class TestDomain:
     def test_mixed_mu_rejected(self):
         with pytest.raises(ValueError):
-            WhittakerParams(0.5, 0.3 + 0.4j, 1.0)
+            whittaker_W(0.5, 0.3 + 0.4j, 1.0)
         with pytest.raises(ValueError, match="real or purely imaginary"):
             whittaker_W_grid(0.5, 0.3 + 0.4j, [1.0])
         with pytest.raises(ValueError, match="real or purely imaginary"):
             whittaker_solution(0.5, 0.3 + 0.4j, 1.0, 2.0)
 
     def test_nonpositive_y_rejected(self):
-        with pytest.raises(ValueError):
-            WhittakerParams(0.5, 0.25, 0.0)
+        for y in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="argument must be positive"):
+                whittaker_W(0.5, 0.25, y)
 
     def test_tiny_y_warns(self):
         with pytest.warns(AccuracyWarning):
-            whittaker_W(WhittakerParams(0.0, 0.5, 1e-8))
+            whittaker_W(0.0, 0.5, 1e-8)
 
 
 class TestNormIdentity:
