@@ -39,7 +39,7 @@ class ExpSumResult:
 
     @property
     def ratio(self) -> float:
-        return abs(self.value) / self.bound if self.bound > 0 else math.inf
+        return abs(self.value) / self.bound
 
 
 def _sum_table(c: int, chi: DirichletCharacter, ell: int | None = None):
@@ -63,12 +63,22 @@ def _roots(c: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(c) / c)
 
 
+def _phase(m, n, c: int, units: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """(m a + n d) mod c; m and n are reduced first, so no int64 product wraps."""
+    return (m % c * invs + n % c * units) % c
+
+
+def _direct_sum(m: int, n: int, c: int, chi: DirichletCharacter, ell: int | None = None) -> complex:
+    """The twisted sum at one (m, n): w(d) e((m a + n d) / c) summed over _sum_table."""
+    units, invs, w = _sum_table(c, chi, ell)
+    return complex(np.sum(w * _roots(c)[_phase(m, n, c, units, invs)]))
+
+
 def _check_kloosterman_domain(c: int, ell: int, chi: DirichletCharacter) -> None:
-    N = chi.modulus
     if c < 1:
         raise ValueError(f"modulus must be >= 1, got c={c}")
-    if c % math.lcm(4, N) != 0:
-        raise ValueError(f"need lcm(4, N) | c; got c={c}, N={N}")
+    if c % math.lcm(4, chi.modulus) != 0:
+        raise ValueError(f"need lcm(4, N) | c; got c={c}, N={chi.modulus}")
     if ell % 2 == 0:
         raise ValueError(f"ell must be odd, got {ell}")
 
@@ -76,34 +86,39 @@ def _check_kloosterman_domain(c: int, ell: int, chi: DirichletCharacter) -> None
 def _check_salie_domain(c: int, chi: DirichletCharacter) -> None:
     if c % chi.modulus != 0:
         raise ValueError(f"need N | c; got c={c}, N={chi.modulus}")
-    if (c & -c).bit_length() - 1 == 1:
+    if c & -c == 2:   # v2(c) = 1
         raise ValueError(f"Salie sums need v2(c) != 1, got c={c}")
 
 
-def weil_bound(m: int, n: int, c: int, chi: DirichletCharacter) -> float:
-    """4 tau(c) (m,n,c)^(1/2) c^(1/2) N^(1/2) with N the character modulus."""
-    g = math.gcd(math.gcd(m, n), c)
-    return 4.0 * divisor_count(c) * math.sqrt(g) * math.sqrt(c) * math.sqrt(chi.modulus)
+def _sqrt_bound(lead: float, m, n, c: int, level: int):
+    """lead (m,n,c)^(1/2) c^(1/2) level^(1/2), the gcd taken on the residues of
+    m and n: by math for ints (a float), by numpy for int arrays (an array)."""
+    xp = np if isinstance(m, np.ndarray) or isinstance(n, np.ndarray) else math
+    return lead * xp.sqrt(xp.gcd(xp.gcd(m % c, n % c), c)) * math.sqrt(c) * math.sqrt(level)
+
+
+def weil_bound(m, n, c: int, chi: DirichletCharacter):
+    """4 tau(c) (m,n,c)^(1/2) c^(1/2) N^(1/2) with N the character modulus:
+    a float for ints m, n, an array of their broadcast shape for int arrays."""
+    return _sqrt_bound(4.0 * divisor_count(c), m, n, c, chi.modulus)
 
 
 def kloosterman_naive(m: int, n: int, c: int, ell: int, chi: DirichletCharacter) -> ExpSumResult:
     """Direct summation of the eps_d^ell (c/d) twisted Kloosterman sum."""
     _check_kloosterman_domain(c, ell, chi)
-    units, invs, w = _sum_table(c, chi, ell)
-    val = complex(np.sum(w * _roots(c)[(m * invs + n * units) % c]))
-    return ExpSumResult(val, weil_bound(m, n, c, chi))
+    return ExpSumResult(_direct_sum(m, n, c, chi, ell), weil_bound(m, n, c, chi))
 
 
-def salie_bound(m: int, n: int, c: int, chi: DirichletCharacter) -> float:
+def salie_bound(m, n, c: int, chi: DirichletCharacter):
     """tau(c) (m,n,c)^(1/2) c^(1/2) cond^(1/2) for odd c; phi(c) otherwise.
 
     The prime-power bound extends multiplicatively to all odd c; at
-    even c only the trivial term-count bound is claimed.
+    even c only the trivial term-count bound is claimed.  m and n as in
+    weil_bound.
     """
     if c % 2 == 1:
-        g = math.gcd(math.gcd(m, n), c)
-        return divisor_count(c) * math.sqrt(g) * math.sqrt(c) * math.sqrt(chi.conductor)
-    return float(_phi(c))
+        return _sqrt_bound(divisor_count(c), m, n, c, chi.conductor)
+    return _sqrt_bound(float(_phi(c)), m, n, 1, 1)   # phi(c), shaped like m and n
 
 
 def _phi(c: int) -> int:
@@ -116,27 +131,21 @@ def _phi(c: int) -> int:
 def salie_naive(m: int, n: int, c: int, chi: DirichletCharacter) -> ExpSumResult:
     """Direct summation of the (d/c)-twisted Salie sum."""
     _check_salie_domain(c, chi)
-    if c == 1:
-        return ExpSumResult(1.0 + 0j, 1.0)
-    units, invs, w = _sum_table(c, chi)
-    val = complex(np.sum(w * _roots(c)[(m * invs + n * units) % c]))
-    return ExpSumResult(val, salie_bound(m, n, c, chi))
+    return ExpSumResult(_direct_sum(m, n, c, chi), salie_bound(m, n, c, chi))
 
 
 def _salie_factored_value(m: int, n: int, c: int, chi: DirichletCharacter) -> complex:
     """Salie value at odd c via prime-power splitting (multiplicativity)."""
     fac = factorize(c)
     if len(fac) <= 1:
-        return salie_naive(m, n, c, chi).value
-    p, e = fac[0]
-    r = p**e
+        return _direct_sum(m, n, c, chi)
+    r = fac[0][0] ** fac[0][1]
     s = c // r
     rbar = inverse_mod(r, s)
     sbar = inverse_mod(s, r)
     chi_r, chi_s = char_factor(chi, r, s)
-    left = salie_naive(m * sbar, n * sbar, r, chi_r).value
-    right = _salie_factored_value(m * rbar, n * rbar, s, chi_s)
-    return left * right
+    left = _direct_sum(m * sbar, n * sbar, r, chi_r)
+    return left * _salie_factored_value(m * rbar, n * rbar, s, chi_s)
 
 
 def kloosterman_factored(m: int, n: int, c: int, ell: int, chi: DirichletCharacter) -> ExpSumResult:
@@ -147,8 +156,7 @@ def kloosterman_factored(m: int, n: int, c: int, ell: int, chi: DirichletCharact
     the identity is invariant under the residual integer freedom.
     """
     _check_kloosterman_domain(c, ell, chi)
-    v2 = (c & -c).bit_length() - 1
-    s = 1 << v2
+    s = c & -c   # the 2-part
     r = c // s
     if r == 1:
         return kloosterman_naive(m, n, c, ell, chi)
@@ -156,9 +164,8 @@ def kloosterman_factored(m: int, n: int, c: int, ell: int, chi: DirichletCharact
     sbar = inverse_mod(s, r)
     chi_r, chi_s = char_factor(chi, r, s)
     salie_part = _salie_factored_value(m * sbar, n * sbar, r, chi_r)
-    kloos_part = kloosterman_naive(m * rbar, n * rbar, s, ell + r - 1, chi_s).value
-    val = salie_part * kloos_part
-    return ExpSumResult(val, weil_bound(m, n, c, chi))
+    kloos_part = _direct_sum(m * rbar, n * rbar, s, chi_s, ell + r - 1)
+    return ExpSumResult(salie_part * kloos_part, weil_bound(m, n, c, chi))
 
 
 def verify_weil(m: int, n: int, c: int, ell: int, chi: DirichletCharacter) -> float:
@@ -185,17 +192,14 @@ def salie_values(c: int, chi: DirichletCharacter, pairs: np.ndarray) -> np.ndarr
     """Salie sums at an array of (m, n) pairs for one modulus."""
     _check_salie_domain(c, chi)
     units, invs, w = _sum_table(c, chi)
-    idx = (pairs[:, 0:1] * invs[None, :] + pairs[:, 1:2] * units[None, :]) % c
-    return _roots(c)[idx] @ w
+    return _roots(c)[_phase(pairs[:, 0:1], pairs[:, 1:2], c, units, invs)] @ w
 
 
 def weil_ratio_grid(c: int, ell: int, chi: DirichletCharacter) -> float:
     """Max |K|/bound over all m, n mod c."""
-    grid = np.abs(kloosterman_grid(c, ell, chi))
     ms = np.arange(c)
-    g = np.gcd(np.gcd.outer(ms, ms), c)
-    bound = 4.0 * divisor_count(c) * np.sqrt(g.astype(float)) * math.sqrt(c) * math.sqrt(chi.modulus)
-    return float(np.max(grid / bound))
+    bound = weil_bound(ms[:, None], ms[None, :], c, chi)
+    return float(np.max(np.abs(kloosterman_grid(c, ell, chi)) / bound))
 
 
 def random_admissible_tuple(rng: np.random.Generator, max_c: int, characters):

@@ -179,8 +179,9 @@ def _sym2(args):
     if args.ymax <= 40:
         raise ValueError(f"--ymax must exceed 40 (the fit starts at Y = 40), got {args.ymax}")
     f = _load(args.form)
-    r_hat, quality = sym2_residue_estimate(
-        f, np.unique(np.geomspace(40, args.ymax, 24).astype(int)))
+    # the top is ymax itself; inner points stop at 2^62, where the a(n^2) check fails anyway
+    inner = np.geomspace(40, float(min(args.ymax, 2**62)), 24)[:-1]
+    r_hat, quality = sym2_residue_estimate(f, sorted({int(y) for y in inner} | {args.ymax}))
     return None, None, [f"symmetric-square residue estimate: {r_hat:.6f} "
                         f"(fit quality {quality:.4f})"], True
 

@@ -130,29 +130,23 @@ def salie_bound_suite(pmax: int = 5000, seed: int = 13):
     rows = []
     t0 = time.time()
     worst = 0.0
-    primes = [int(p) for p in primes_upto(pmax) if p % 2 == 1]
     idx = 0
-    for p in primes:
-        alpha = 1
-        while p**alpha <= pmax:
-            c = p**alpha
-            for chi in (trivial_character(1), char_from_kronecker(p, p) if p % 4 == 1
-                        else char_from_kronecker(-p, p)):
-                if c % chi.modulus != 0:
-                    continue
+    for p in (int(p) for p in primes_upto(pmax) if p % 2 == 1):
+        chars = (trivial_character(1), char_from_kronecker(p if p % 4 == 1 else -p, p))
+        c = p
+        while c <= pmax:
+            for chi in chars:
                 rng = item_rng(seed, idx)
                 idx += 1
                 structured = [(0, 0), (0, 1), (1, 0), (1, 1), (p, 1), (p, p), (c, c)]
-                extra = rng.integers(-2 * c, 2 * c + 1, size=(40, 2))
-                pairs = np.array(structured + [tuple(x) for x in extra], dtype=np.int64)
-                vals = salie_values(c, chi, pairs)
-                for (m, n), v in zip(pairs, vals):
-                    b = salie_bound(int(m), int(n), c, chi)
-                    ratio = abs(v) / b
-                    worst = max(worst, ratio)
-                    if ratio > 0.5:
-                        rows.append((c, int(m), int(n), chi.label, abs(v), b, ratio))
-            alpha += 1
+                pairs = np.concatenate([structured, rng.integers(-2 * c, 2 * c + 1, size=(40, 2))])
+                sizes = np.abs(salie_values(c, chi, pairs))
+                bounds = salie_bound(pairs[:, 0], pairs[:, 1], c, chi)
+                ratios = sizes / bounds
+                worst = max(worst, ratios.max())
+                rows.extend((c, int(m), int(n), chi.label, a, b, r) for (m, n), a, b, r
+                            in zip(pairs, sizes, bounds, ratios) if r > 0.5)
+            c *= p
     elapsed = time.time() - t0
     ok = worst <= 1.0 + 1e-9
     lines = [

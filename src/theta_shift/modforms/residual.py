@@ -84,12 +84,12 @@ def sym2_residue_estimate(f: CuspForm, Y_grid) -> tuple:
     M = 1.69e7, R_hat is 0.21% from the exact residue, so it is not the
     source of the main-term gap that `main_term_gate` reports.
     """
+    top = int(Y_grid[-1])   # checked before the int64 cast, which a huge Y would overflow
+    if top * top > f.n_coeffs:
+        raise IndexError(f"need a(n^2) to n={top}, i.e. M >= {top * top}")
     Y_grid = np.atleast_1d(np.asarray(Y_grid, dtype=np.int64))
     if np.any(np.diff(Y_grid) <= 0) or Y_grid[0] < 2:
         raise ValueError("Y grid must be increasing with Y >= 2")
-    top = int(Y_grid[-1])
-    if top * top > f.n_coeffs:
-        raise IndexError(f"need a(n^2) to n={top}, i.e. M >= {top * top}")
     if len(Y_grid) < 3:
         raise ValueError(f"need at least 3 distinct Y for the log-slope fit, got {len(Y_grid)}")
     ns = np.arange(1, top + 1)

@@ -50,6 +50,12 @@ from .gammafun import digamma, log_gamma
 _RTOL = 1e-12
 _RTOL_UPPER = 1e-13
 _Y_TINY = 1e-6
+# Working range, measured against 40-digit mpmath at eta in {0, +-1.25, +-20},
+# y in {0.01, 1, |mu|, 1.5 |mu|}: within 1e-8 of the local envelope inside it.
+# Beyond it v sinks to the atol floor, y0 runs away, or the tail overflows.
+_ETA_MAX = 20.0
+_IMAG_MU_MAX = 250.0
+_REAL_MU_MAX = 30.0
 
 
 class AccuracyWarning(UserWarning):
@@ -163,6 +169,12 @@ def _mu2_of(mu: complex) -> float:
 
 
 def whittaker_solution(eta: float, mu: complex, y_min: float, y_max: float) -> WhittakerSolution:
+    """Raises ValueError outside |eta| <= 20 and |mu| <= 250 (imaginary) or 30 (real)."""
+    if not abs(eta) <= _ETA_MAX:
+        raise ValueError(f"Whittaker W needs |eta| <= {_ETA_MAX:g}, got eta={eta}")
+    kind, mu_max = ("real", _REAL_MU_MAX) if complex(mu).imag == 0 else ("imaginary", _IMAG_MU_MAX)
+    if not abs(mu) <= mu_max:
+        raise ValueError(f"Whittaker W needs |mu| <= {mu_max:g} for {kind} mu, got mu={mu}")
     return _solve_scaled(float(eta), _mu2_of(mu), float(y_min), float(y_max))
 
 

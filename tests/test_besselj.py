@@ -140,3 +140,12 @@ class TestBesselJ:
                 env = abs(math.sinh(math.pi * t)) * min(q ** -0.5, 1 + abs(math.log(q)))
                 c_max = max(c_max, diff / env)
         assert 1.0 < c_max <= 2.0
+
+
+def test_boosted_band_bounded_in_q():
+    # mpmath's cost grows with its 0.9 q digits: q = 100000 at t = 100 ran for over 20 s
+    assert np.isfinite(bessel_J_imag_order(100.0, 500.0))
+    with pytest.raises(ValueError, match=r"q=2000.5 needs mpmath beyond its limit q <= 2000"):
+        bessel_J_imag_order(100.0, np.array([3.0, 2000.5]))
+    # the Hankel branch above 12 t^2 has no such limit
+    assert np.isfinite(bessel_J_imag_order(1.0, 1e5))

@@ -1,5 +1,7 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +276,94 @@ class TestTwistTablesAreExactIntegersSoSumsAreBitStable:
         pairs = rng.integers(-3 * c, 3 * c, size=(25, 2))
         vec, ref = self._both_routes(monkeypatch, lambda: salie_values(c, chi, pairs))
         assert vec.tobytes() == ref.tobytes()
+
+
+CHI_M7 = char_from_kronecker(-7, 28)
+
+
+class TestSumsDependOnResiduesOnly:
+    """m and n enter every sum and bound mod c only, however large they are:
+    each is reduced before it meets an int64 table."""
+
+    @pytest.mark.parametrize("fn", [kloosterman_naive, kloosterman_factored])
+    def test_kloosterman(self, fn):
+        assert fn(5 + 9996 * 10**14, 7, 9996, 1, CHI_M7) == fn(5, 7, 9996, 1, CHI_M7)
+        assert fn(1 - 9996 * 10**30, 1 + 9996 * 10**20, 9996, 1, CHI_M7) == fn(
+            1, 1, 9996, 1, CHI_M7)
+
+    def test_salie_naive(self):
+        chi = trivial_character(1)
+        assert salie_naive(5 + 4999 * 10**15, 7, 4999, chi) == salie_naive(5, 7, 4999, chi)
+        assert salie_naive(5, -7 * 4999 * 10**15, 4999, chi) == salie_naive(5, 0, 4999, chi)
+
+    @pytest.mark.parametrize("c, chi", [
+        (4999, trivial_character(1)),
+        (3**5, char_from_kronecker(-3, 3)),
+        (5**5, char_from_kronecker(5, 5)),
+    ])
+    def test_salie_values(self, rng, c, chi):
+        pairs = rng.integers(-3 * c, 3 * c, size=(25, 2))
+        for shift in (c * 10**14, -c * 10**14):
+            got = salie_values(c, chi, pairs + shift)
+            assert got.tobytes() == salie_values(c, chi, pairs).tobytes()
+
+
+class TestBoundsOnArrays:
+    """weil_bound and salie_bound take int arrays m, n and give, element by
+    element, exactly the scalar call's value."""
+
+    @pytest.mark.parametrize("bound, c, chi", [
+        (expsums.weil_bound, 96, char_from_kronecker(12, 12)),
+        (expsums.weil_bound, 9996, CHI_M7),
+        (expsums.salie_bound, 3**5, char_from_kronecker(-3, 3)),
+        (expsums.salie_bound, 4999, trivial_character(1)),
+        (expsums.salie_bound, 3 * 5 * 7 * 11, trivial_character(1)),
+        (expsums.salie_bound, 8, trivial_character(1)),      # even c: phi(c)
+        (expsums.salie_bound, 28, CHI_M7),
+        (expsums.salie_bound, 1, trivial_character(1)),
+    ])
+    def test_array_equals_scalar_calls(self, rng, bound, c, chi):
+        ms = np.array([0, 0, 1, -1, c, -c, 3 * c, 2, -2 * c + 6, *rng.integers(-5 * c, 5 * c, 20)])
+        ns = np.array([0, 1, 0, -1, c, 2 * c, -c, 3, 4 * c + 9, *rng.integers(-5 * c, 5 * c, 20)])
+        got = bound(ms, ns, c, chi)
+        assert got.shape == ms.shape
+        for m, n, b in zip(ms, ns, got):
+            scalar = bound(int(m), int(n), c, chi)
+            assert type(scalar) is float
+            assert b == scalar
+        # broadcasting, as the exhaustive grid uses it
+        grid = bound(ms[:, None], ns[None, :], c, chi)
+        assert grid.shape == (len(ms), len(ns))
+        assert grid[3, 5] == bound(int(ms[3]), int(ns[5]), c, chi)
+
+
+def test_factored_path_computes_no_salie_bound(monkeypatch):
+    # the prime-power leaves need only the sum; the value is the one pinned before
+    # the leaves stopped going through salie_naive
+    def refuse(*args):
+        raise AssertionError("salie_bound called")
+
+    monkeypatch.setattr(expsums, "salie_bound", refuse)
+    assert kloosterman_factored(5, 7, 9996, 1, CHI_M7).value == 0j
+    assert kloosterman_factored(1, 1, 9996, 1, CHI_M7).value == complex(
+        -169.92206697575682, 169.92206697575722)
+
+
+def test_only_the_bounds_count_divisors():
+    # tau(c) enters only the two bound formulas; a call anywhere else would be a second copy
+    src = Path(expsums.__file__).resolve().parent
+    calls = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and "divisor_count" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            calls.append(f"{path.relative_to(src)}:{where}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, "<module>")
+    assert [c for c in calls if c.rsplit(":", 1)[0] not in
+            ("expsums.py:weil_bound", "expsums.py:salie_bound")] == []

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -362,3 +363,50 @@ class TestCli:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "PASS" in out.stdout
+
+
+class TestOutOfRangeInput:
+    def test_eval_depends_on_residues_only(self, tmp_path):
+        # 10^23 - 1 = 3 mod 4; at int64 the phase index overflowed
+        got = {}
+        for m in ("99999999999999999999999", "3"):
+            assert main(["expsum", "eval", "--m", m, "--n", "1", "--c", "4",
+                         "--out", str(tmp_path / m)]) == 0
+            _, header, (row,) = read_csv(tmp_path / m / "expsum-eval.csv")
+            got[m] = [row[header.index(k)] for k in ("re", "im", "bound")]
+        assert got["99999999999999999999999"] == got["3"]
+
+    def test_salie_bounds_unchanged(self, tmp_path):
+        # recorded while every pair still took its own scalar bound call
+        assert main(["salie-bounds", "--pmax", "1000", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "salie-bounds.csv").read_bytes()).hexdigest() == (
+            "f1ac422539e54a5e227c0917aaeec526a579d2daab76279ca55f627284265c93")
+
+    def test_bessel_beyond_boosted_limit_exits(self, tmp_path, capsys):
+        rc = main(["specfun", "bessel", "--t", "100", "--q", "100000", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: J_(2it) at t=100, q=100000 needs mpmath beyond its limit q <= 2000 "
+            "(for q < 12 t^2)\n")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        "--eta 1 --t 420 --y 1", "--eta 1 --t 1000 --y 1", "--eta 1 --t 1e8 --y 1",
+        "--eta 1 --t 1e50 --y 1", "--eta 1 --t 1e160 --y 1", "--eta 100 --t 5 --y 1"])
+    def test_whittaker_outside_working_range_exits(self, tmp_path, capsys, args):
+        rc = main(["specfun", "whittaker", *args.split(), "--out", str(tmp_path)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.match(r"error: Whittaker W needs \|(eta|mu)\| <= ", err)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("ymax", ["99999999999999999999999", "9999999999999999999",
+                                      "1" + "0" * 309], ids=["1e23", "1e19", "1e309"])
+    def test_sym2_ymax_beyond_int64_exits(self, tmp_path, capsys, ymax):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sym2", "--form", "eta7", "--ymax", ymax, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: need a(n^2) to n={ymax}, i.e. M >= {int(ymax) ** 2}\n")

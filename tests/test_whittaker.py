@@ -151,3 +151,18 @@ class TestOdeConsistency:
         vals = whittaker_W_grid(1.25, 2j, np.linspace(0.5, 10.0, 40))
         assert vals.dtype == np.float64
         assert np.all(np.isfinite(vals))
+
+
+class TestWorkingRange:
+    @pytest.mark.parametrize("eta, mu, name", [
+        (20.5, 2j, "eta"), (-100.0, 5j, "eta"), (0.0, 250.5j, "mu"), (1.0, 1e160j, "mu"),
+        (1.0, 30.5, "mu"), (math.nan, 1j, "eta")])
+    def test_outside_refused(self, eta, mu, name):
+        with pytest.raises(ValueError, match=rf"needs \|{name}\| <="):
+            whittaker_W(eta, mu, 1.0)
+
+    @pytest.mark.parametrize("eta, mu, y", [(-20.0, 250j, 1.0), (20.0, 5j, 7.5), (1.0, 30.0, 2.0)])
+    def test_edges_accurate(self, eta, mu, y):
+        with mp.workdps(40):
+            ref = float(mp.re(mp.whitw(eta, mu, y)))
+        assert whittaker_W(eta, mu, y) == pytest.approx(ref, rel=1e-8)
