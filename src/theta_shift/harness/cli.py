@@ -5,8 +5,9 @@ Two-word module verbs (`expsum eval`, `specfun whittaker`, ...) fold
 into single subcommands, so both spellings work.  Each command is one
 row of `COMMANDS`; a handler returns (header, rows, lines, ok), and a
 command with a header writes a schema-versioned CSV.  Every run prints
-a human-readable summary; the exit status is 1 iff a hard assertion
-fails and 2 on bad input or a failed solve.
+a human-readable summary, whose `artifact:` line carries the command's
+wall time; the exit status is 1 iff a hard assertion fails and 2 on bad
+input or a failed solve.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -61,7 +63,10 @@ def _character(args):
 def _load(name: str):
     if name == "eta7":
         return eta7_cusp_form_on_demand()
-    return load_form(name)
+    f = load_form(name)
+    for note in f.notes:
+        print(f"note: {note}", file=sys.stderr)
+    return f
 
 
 # -- handlers: args -> (CSV header or None, rows, summary lines, ok) ---------------
@@ -82,37 +87,33 @@ def _expsum_eval(args):
 
 
 def _expsum_sweep(args):
-    return (["kind", "c", "ell", "char", "ratio"],
-            *suites.weil_sweep_suite(seed=args.seed, trials=args.trials, max_c=args.max_c,
-                                     exhaustive_max=args.exhaustive_max))
+    return suites.weil_sweep_suite(seed=args.seed, trials=args.trials, max_c=args.max_c,
+                                   exhaustive_max=args.exhaustive_max)
 
 
 def _verify_mult(args):
-    return (["m", "n", "c", "ell", "char", "re", "im", "deviation", "budget_used"],
-            *suites.verify_mult_suite(seed=args.seed, trials=args.trials, max_c=args.max_c))
+    return suites.verify_mult_suite(seed=args.seed, trials=args.trials, max_c=args.max_c)
 
 
 def _salie_bounds(args):
-    return (["c", "m", "n", "char", "abs", "bound", "ratio"],
-            *suites.salie_bound_suite(pmax=args.pmax, seed=args.seed))
+    return suites.salie_bound_suite(pmax=args.pmax, seed=args.seed)
 
 
 def _specfun_check(args):
-    all_rows = []
-    all_lines = []
-    ok = True
+    """Six suites in one CSV: the union of their columns, blank where a suite has none."""
+    header, named, all_lines, ok = ["suite"], [], [], True
     for name, suite in (("norm", suites.whittaker_norm_suite),
                         ("ratio", suites.whittaker_ratio_suite),
                         ("lower", suites.whittaker_lower_suite),
                         ("bessel", suites.bessel_bound_suite),
                         ("mellin", suites.mellin_suite),
                         ("remark", suites.remark_suite)):
-        rows, lines, good = suite()
-        all_rows.extend((name, *r) for r in rows)
-        all_lines.extend(lines)
+        cols, rows, lines, good = suite()
+        header += [c for c in cols if c not in header]
+        named += [dict(zip(cols, r), suite=name) for r in rows]
+        all_lines += lines
         ok = ok and good
-    header = ["suite", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"]
-    return header, [r + ("",) * (10 - len(r)) for r in all_rows], all_lines, ok
+    return header, [tuple(r.get(c, "") for c in header) for r in named], all_lines, ok
 
 
 def _specfun_whittaker(args):
@@ -136,18 +137,15 @@ def _specfun_bessel(args):
 
 def _oscillatory_map(args):
     kappas = tuple(args.kappa) if args.kappa else (0.5, -0.5)
-    return (["kappa", "omega", "T", "G", "ratio"],
-            *suites.oscillatory_map_suite(kappas=kappas, n_omega=args.n_omega, n_T=args.n_T))
+    return suites.oscillatory_map_suite(kappas=kappas, n_omega=args.n_omega, n_T=args.n_T)
 
 
 def _mellin_barnes(args):
-    return (["n1", "n2", "m", "k", "t", "contour", "direct", "rel_err", "shift_invariance"],
-            *suites.mellin_suite())
+    return suites.mellin_suite()
 
 
 def _theta_check(args):
-    return (["a", "b", "c", "d", "residual"],
-            *suites.theta_suite(seed=args.seed, trials=args.trials))
+    return suites.theta_suite(seed=args.seed, trials=args.trials)
 
 
 def _shifted_sum(args):
@@ -178,17 +176,13 @@ def _fit(args):
 def _sym2(args):
     if args.ymax <= 40:
         raise ValueError(f"--ymax must exceed 40 (the fit starts at Y = 40), got {args.ymax}")
-    f = _load(args.form)
-    # the top is ymax itself; inner points stop at 2^62, where the a(n^2) check fails anyway
-    inner = np.geomspace(40, float(min(args.ymax, 2**62)), 24)[:-1]
-    r_hat, quality = sym2_residue_estimate(f, sorted({int(y) for y in inner} | {args.ymax}))
+    r_hat, quality = sym2_residue_estimate(_load(args.form), suites.sym2_fit_grid(args.ymax))
     return None, None, [f"symmetric-square residue estimate: {r_hat:.6f} "
                         f"(fit quality {quality:.4f})"], True
 
 
 def _remark_check(args):
-    ks = tuple(args.k) if args.k else (5, 9)
-    return (["k", "quadrature", "closed_form", "rel_err"], *suites.remark_suite(ks=ks))
+    return suites.remark_suite(ks=tuple(args.k) if args.k else (5, 9))
 
 
 def _gen_form(args):
@@ -286,12 +280,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = _normalize_argv(sys.argv[1:] if argv is None else list(argv))
     args = _parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
         header, rows, lines, ok = args.handler(args)
         if header is not None:
             path = os.path.join(args.out, f"{args.name}.csv")
             write_csv(path, args.name, args.seed, header, rows)
-            lines = lines + [f"artifact: {path}"]
+            lines = lines + [f"artifact: {path} ({time.perf_counter() - t0:.1f}s)"]
     except (ValueError, IndexError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

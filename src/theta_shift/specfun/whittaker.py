@@ -38,7 +38,6 @@ state, not estimated.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,17 +48,16 @@ from .gammafun import digamma, log_gamma
 
 _RTOL = 1e-12
 _RTOL_UPPER = 1e-13
-_Y_TINY = 1e-6
+# Ten orders above the solver's atol = 1e-280: against 40-digit mpmath at
+# eta = -20, mu = 250i, |v| >= 6.6e-276 kept W within 8.3e-10 relative, while
+# |v| = 7.4e-282 (y = 1e-3) gave 1.7e-5 and y = 1e-4 an error of 1.9e15.
+_V_FLOOR = 1e-270
 # Working range, measured against 40-digit mpmath at eta in {0, +-1.25, +-20},
 # y in {0.01, 1, |mu|, 1.5 |mu|}: within 1e-8 of the local envelope inside it.
 # Beyond it v sinks to the atol floor, y0 runs away, or the tail overflows.
 _ETA_MAX = 20.0
 _IMAG_MU_MAX = 250.0
 _REAL_MU_MAX = 30.0
-
-
-class AccuracyWarning(UserWarning):
-    pass
 
 
 def _asymptotic_v(eta: float, mu2: float, y0: float):
@@ -104,12 +102,21 @@ class WhittakerSolution:
         slack = 1e-9 * max(1.0, self.y_end)
         if np.any(ys < self.y_end - slack) or np.any(ys > self.dense_top):
             raise ValueError("target outside solved range")
-        vals = self._dense(ys)[0]
+        vals = self._state(ys)[0]
         return np.exp(-0.5 * ys + self.eta * np.log(ys)) * vals
 
     def squared_integral(self, y: float, k: int) -> float:
         """int_y^inf W(u)^2 du / u^k for k = 1 or 2."""
-        return float(-self._dense(y)[1 + k])
+        return float(-self._state(y)[1 + k])
+
+    def _state(self, ys):
+        """The dense state at ys; raises where v has sunk toward the solver's atol."""
+        state = self._dense(ys)
+        low = np.atleast_1d(ys)[np.atleast_1d(np.abs(state[0]) < _V_FLOOR)]
+        if low.size:
+            raise ValueError(f"Whittaker W at eta={self.eta:g}, y={low.max():g} is below the "
+                             f"solver floor: |W e^(y/2) y^(-eta)| < {_V_FLOOR:g}")
+        return state
 
 
 def _rhs(eta: float, coeff: float, rate: float):
@@ -182,8 +189,6 @@ def whittaker_W(eta: float, mu: complex, y: float) -> float:
     """W_{eta,mu}(y) at one positive y, real-valued in both parameter regimes."""
     if not y > 0:   # nan too
         raise ValueError(f"argument must be positive, got y={y}")
-    if y < _Y_TINY:
-        warnings.warn(f"W requested at y={y} < {_Y_TINY}; accuracy degraded", AccuracyWarning)
     return float(whittaker_W_grid(eta, mu, y)[0])
 
 

@@ -24,7 +24,7 @@ def _record(number: int, label: str, ok: bool, detail: str, elapsed: float):
 
 def test_criterion_01_twisted_multiplicativity():
     t0 = time.monotonic()
-    rows, lines, ok = suites.verify_mult_suite(seed=7, trials=200, max_c=10_000)
+    _, rows, lines, ok = suites.verify_mult_suite(seed=7, trials=200, max_c=10_000)
     elapsed = time.monotonic() - t0
     worst = max(r[8] for r in rows)
     ok = ok and elapsed < 60.0
@@ -35,8 +35,8 @@ def test_criterion_01_twisted_multiplicativity():
 
 def test_criterion_02_square_root_cancellation_bound():
     t0 = time.monotonic()
-    rows, lines, ok = suites.weil_sweep_suite(seed=11, trials=1000, max_c=4096,
-                                              exhaustive_max=128)
+    _, rows, lines, ok = suites.weil_sweep_suite(seed=11, trials=1000, max_c=4096,
+                                                 exhaustive_max=128)
     elapsed = time.monotonic() - t0
     worst = max(r[4] for r in rows)
     ok = ok and elapsed < 300.0
@@ -46,7 +46,7 @@ def test_criterion_02_square_root_cancellation_bound():
 
 def test_criterion_03_salie_prime_power_bound():
     t0 = time.monotonic()
-    rows, lines, ok = suites.salie_bound_suite(pmax=5000)
+    _, rows, lines, ok = suites.salie_bound_suite(pmax=5000)
     elapsed = time.monotonic() - t0
     _record(3, "prime-power bound for all odd p^a <= 5000, both characters",
             ok, lines[0], elapsed)
@@ -54,7 +54,7 @@ def test_criterion_03_salie_prime_power_bound():
 
 def test_criterion_04_whittaker_norm_identity():
     t0 = time.monotonic()
-    rows, lines, ok = suites.whittaker_norm_suite()
+    _, rows, lines, ok = suites.whittaker_norm_suite()
     elapsed = time.monotonic() - t0
     worst = max(r[4] for r in rows)
     ok = ok and worst <= 1e-6
@@ -64,7 +64,7 @@ def test_criterion_04_whittaker_norm_identity():
 
 def test_criterion_05_uniform_ratio_stability():
     t0 = time.monotonic()
-    rows, lines, ok = suites.whittaker_ratio_suite()
+    _, rows, lines, ok = suites.whittaker_ratio_suite()
     elapsed = time.monotonic() - t0
     _record(5, "uniform envelope sup over t in [1,40], y in (0, 1.5t]",
             ok, lines[0].split("envelope: ")[1], elapsed)
@@ -72,7 +72,7 @@ def test_criterion_05_uniform_ratio_stability():
 
 def test_criterion_06_lower_bound_floor():
     t0 = time.monotonic()
-    rows, lines, ok = suites.whittaker_lower_suite()
+    _, rows, lines, ok = suites.whittaker_lower_suite()
     elapsed = time.monotonic() - t0
     vals = [r[2] for r in rows]
     _record(6, "tail-integral ratio positive with spread < 10 over t in [1,30]",
@@ -81,7 +81,7 @@ def test_criterion_06_lower_bound_floor():
 
 def test_criterion_07_oscillatory_bound_map():
     t0 = time.monotonic()
-    rows, lines, ok = suites.oscillatory_map_suite(kappas=(0.5, -0.5))
+    _, rows, lines, ok = suites.oscillatory_map_suite(kappas=(0.5, -0.5))
     elapsed = time.monotonic() - t0
     _record(7, "kernel t-average bounded and grid-stable in both regimes",
             ok, " | ".join(line.split(" ", 1)[1] for line in lines), elapsed)
@@ -89,7 +89,7 @@ def test_criterion_07_oscillatory_bound_map():
 
 def test_criterion_08_contour_vs_direct():
     t0 = time.monotonic()
-    rows, lines, ok = suites.mellin_suite()
+    _, rows, lines, ok = suites.mellin_suite()
     elapsed = time.monotonic() - t0
     worst = max(r[7] for r in rows)
     shift = max(r[8] for r in rows)
@@ -100,7 +100,7 @@ def test_criterion_08_contour_vs_direct():
 
 def test_criterion_09_explicit_inner_product():
     t0 = time.monotonic()
-    rows, lines, ok = suites.remark_suite(ks=(5, 9))
+    _, rows, lines, ok = suites.remark_suite(ks=(5, 9))
     elapsed = time.monotonic() - t0
     k5 = next(r for r in rows if r[0] == 5)
     worst = max(r[3] for r in rows)
@@ -113,7 +113,7 @@ def test_criterion_09_explicit_inner_product():
 
 def test_criterion_10_theta_multiplier():
     t0 = time.monotonic()
-    rows, lines, ok = suites.theta_suite(seed=5, trials=100)
+    _, rows, lines, ok = suites.theta_suite(seed=5, trials=100)
     elapsed = time.monotonic() - t0
     worst = max(r[4] for r in rows)
     ok = ok and worst <= 1e-8

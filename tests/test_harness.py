@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import re
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from theta_shift.harness import cli
+from theta_shift.harness import cli, suites
 from theta_shift.harness.cli import COMMANDS, _normalize_argv, _parser, main
 from theta_shift.harness.csvio import read_csv, write_csv
 from theta_shift.harness.suites import item_rng
@@ -28,6 +29,69 @@ class TestConfig:
         c = item_rng(42, 4).integers(0, 10**9)
         assert a == b
         assert a != c
+
+    def test_sym2_fit_grid_is_the_main_term_gate_grid(self):
+        grid = suites.sym2_fit_grid(4000)
+        assert grid == np.unique(np.geomspace(40, 4000, 24).astype(int)).tolist()
+        assert len(grid) == 24
+
+
+class TestSuites:
+    @pytest.mark.parametrize("run", [
+        lambda: suites.verify_mult_suite(trials=3, max_c=200),
+        lambda: suites.weil_sweep_suite(trials=3, max_c=256, exhaustive_max=16),
+        lambda: suites.salie_bound_suite(pmax=30),
+        suites.whittaker_norm_suite,
+        suites.whittaker_ratio_suite,
+        suites.whittaker_lower_suite,
+        lambda: suites.oscillatory_map_suite(n_omega=2, n_T=2),
+        suites.mellin_suite,
+        suites.bessel_bound_suite,
+        lambda: suites.theta_suite(trials=3),
+        lambda: suites.remark_suite(ks=(5,)),
+    ], ids=["verify-mult", "weil-sweep", "salie-bound", "whittaker-norm", "whittaker-ratio",
+            "whittaker-lower", "oscillatory-map", "mellin", "bessel-bound", "theta", "remark"])
+    def test_suite_names_every_column(self, run):
+        header, rows, lines, ok = run()
+        assert isinstance(header, list) and all(isinstance(c, str) for c in header)
+        assert len(set(header)) == len(header)
+        assert rows and all(len(r) == len(header) for r in rows)
+        assert lines
+
+    def test_specfun_check_writes_the_union_of_columns(self, tmp_path, monkeypatch):
+        stubs = {
+            "whittaker_norm_suite": (["eta", "t", "q"], [(1, 2, 3)]),
+            "whittaker_ratio_suite": (["t", "y"], [(4, 5), (6, 7)]),
+            "whittaker_lower_suite": (["eta", "z"], [(8, 9)]),
+            "bessel_bound_suite": (["q"], [(10,)]),
+            "mellin_suite": (["y", "t", "eta"], [(11, 12, 13)]),
+            "remark_suite": (["k"], [(14,)]),
+        }
+        for name, (header, rows) in stubs.items():
+            monkeypatch.setattr(suites, name, lambda h=header, r=rows, n=name: (
+                h, r, [f"PASS {n}"], True))
+        assert main(["specfun", "check", "--out", str(tmp_path)]) == 0
+        _, header, rows = read_csv(tmp_path / "specfun-check.csv")
+        assert header == ["suite", "eta", "t", "q", "y", "z", "k"]
+        assert rows == [
+            ["norm", "1", "2", "3", "", "", ""],
+            ["ratio", "", "4", "", "5", "", ""],
+            ["ratio", "", "6", "", "7", "", ""],
+            ["lower", "8", "", "", "", "9", ""],
+            ["bessel", "", "", "10", "", "", ""],
+            ["mellin", "13", "12", "", "11", "", ""],
+            ["remark", "", "", "", "", "", "14"],
+        ]
+
+    def test_only_the_cli_keeps_a_clock(self):
+        # suites report values; the CLI times each command once, the artifact write included
+        src = Path(cli.__file__).resolve().parents[1]
+        clocks = [f"{path.relative_to(src)}:{node.lineno}" for path in sorted(src.rglob("*.py"))
+                  if path != src / "harness" / "cli.py"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Import) and "time" in {a.name for a in node.names}
+                  or isinstance(node, ast.ImportFrom) and node.module == "time"]
+        assert clocks == []
 
 
 class TestCsv:
@@ -73,6 +137,30 @@ class TestCli:
         rc = main(["remark-check", "--k", "5", "--out", str(tmp_path)])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_artifact_line_carries_the_command_time(self, tmp_path, capsys):
+        assert main(["theta-check", "--trials", "3", "--out", str(tmp_path)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        path = tmp_path / "theta-check.csv"
+        assert re.fullmatch(rf"artifact: {re.escape(str(path))} \(\d+\.\ds\)", last)
+
+    def test_form_notes_reach_stderr(self, tmp_path, capsys):
+        path = tmp_path / "form.txt"
+        path.write_text("level=7\nweight=3\na 1 2\n"
+                        + "".join(f"a {n} 1000000\n" for n in range(2, 258)))
+        rc = main(["shifted-sum", "--form", str(path), "--h", "1", "--xmin", "4",
+                   "--xmax", "16", "--out", str(tmp_path)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("note: a(1) != 1") for line in err)
+        assert any(line.startswith("note: Deligne bound violated at p=2") for line in err)
+        assert all(line.startswith("note: ") for line in err)
+
+    def test_eta7_has_no_notes(self, tmp_path, capsys):
+        rc = main(["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "4", "--xmax", "16",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     def test_whittaker_point(self, tmp_path, capsys):
         rc = main(["specfun", "whittaker", "--eta", "0.0", "--mu", "0.5",
@@ -399,6 +487,15 @@ class TestOutOfRangeInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert re.match(r"error: Whittaker W needs \|(eta|mu)\| <= ", err)
+        assert not any(tmp_path.iterdir())
+
+    def test_whittaker_below_solver_floor_exits(self, tmp_path, capsys):
+        rc = main(["specfun", "whittaker", "--eta", "-20", "--t", "250", "--y", "0.001",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Whittaker W at eta=-20, y=0.001 is below the solver floor")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("ymax", ["99999999999999999999999", "9999999999999999999",

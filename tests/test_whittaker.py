@@ -1,11 +1,11 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from theta_shift.specfun.whittaker import (
-    AccuracyWarning,
     whittaker_W,
     whittaker_W_grid,
     whittaker_l2_norm,
@@ -62,9 +62,18 @@ class TestDomain:
             with pytest.raises(ValueError, match="argument must be positive"):
                 whittaker_W(0.5, 0.25, y)
 
-    def test_tiny_y_warns(self):
-        with pytest.warns(AccuracyWarning):
-            whittaker_W(0.0, 0.5, 1e-8)
+    def test_below_solver_floor_raises(self):
+        # v = W e^{y/2} y^{-eta} is 7.4e-282 here, under atol = 1e-280: W was off by 1.7e-5
+        with pytest.raises(ValueError, match=r"eta=-20, y=0\.001 is below the solver floor"):
+            whittaker_W(-20.0, 250j, 1e-3)
+
+    @pytest.mark.parametrize("eta, mu", [(0.0, 0.5), (-1.25, 2j)])
+    def test_tiny_y_is_accurate(self, eta, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = whittaker_W(eta, mu, 1e-8)
+        ref = complex(mp.whitw(eta, mu, 1e-8)).real
+        assert abs(got - ref) <= 1e-8 * abs(ref)
 
 
 class TestNormIdentity:
