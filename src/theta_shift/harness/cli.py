@@ -3,16 +3,17 @@ grids, and the shifted-sum experiment pipeline.
 
 Two-word module verbs (`expsum eval`, `specfun whittaker`, ...) fold
 into single subcommands, so both spellings work.  Each command is one
-row of `COMMANDS`; a handler returns (header, rows, lines, ok), and a
-command with a header writes a schema-versioned CSV.  Every run prints
-a human-readable summary, whose `artifact:` line carries the command's
-wall time; the exit status is 1 iff a hard assertion fails and 2 on bad
-input or a failed solve.
+row of `COMMANDS`, naming a handler or a suite; either returns (header,
+rows, lines, ok), and a command with a header writes a schema-versioned
+CSV.  Every run prints a human-readable summary, whose `artifact:` line
+carries the command's wall time; the exit status is 1 iff a hard
+assertion fails and 2 on bad input or a failed solve.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -73,6 +74,14 @@ def _load(name: str):
 # Suites are looked up on the module at call time, so wrappers installed
 # on `suites` attributes see every call.
 
+def _run_suite(args):
+    """A suite row: call the suite it names with every given option it takes."""
+    suite = getattr(suites, args.suite)
+    params = inspect.signature(suite).parameters
+    return suite(**{k: tuple(v) if isinstance(v, list) else v
+                    for k, v in vars(args).items() if k in params and v is not None})
+
+
 def _expsum_eval(args):
     chi = _character(args)
     if args.salie:
@@ -84,19 +93,6 @@ def _expsum_eval(args):
              res.value.real, res.value.imag, res.bound, res.ratio)]
     lines = [f"value = {res.value:.12g}, bound = {res.bound:.6g}, ratio = {res.ratio:.6f}"]
     return ["m", "n", "c", "ell", "char", "re", "im", "bound", "ratio"], rows, lines, True
-
-
-def _expsum_sweep(args):
-    return suites.weil_sweep_suite(seed=args.seed, trials=args.trials, max_c=args.max_c,
-                                   exhaustive_max=args.exhaustive_max)
-
-
-def _verify_mult(args):
-    return suites.verify_mult_suite(seed=args.seed, trials=args.trials, max_c=args.max_c)
-
-
-def _salie_bounds(args):
-    return suites.salie_bound_suite(pmax=args.pmax, seed=args.seed)
 
 
 def _specfun_check(args):
@@ -135,19 +131,6 @@ def _specfun_bessel(args):
     return ["t", "q", "re", "im"], rows, lines, True
 
 
-def _oscillatory_map(args):
-    kappas = tuple(args.kappa) if args.kappa else (0.5, -0.5)
-    return suites.oscillatory_map_suite(kappas=kappas, n_omega=args.n_omega, n_T=args.n_T)
-
-
-def _mellin_barnes(args):
-    return suites.mellin_suite()
-
-
-def _theta_check(args):
-    return suites.theta_suite(seed=args.seed, trials=args.trials)
-
-
 def _shifted_sum(args):
     if args.xmin < 1:
         raise ValueError(f"--xmin must be at least 1, got {args.xmin:g}")
@@ -181,16 +164,13 @@ def _sym2(args):
                         f"(fit quality {quality:.4f})"], True
 
 
-def _remark_check(args):
-    return suites.remark_suite(ks=tuple(args.k) if args.k else (5, 9))
-
-
 def _gen_form(args):
     save_form(args.file, eta7_cusp_form(args.M))
     return None, None, [f"wrote {args.file} with M={args.M} coefficients"], True
 
 
-# name -> (help, aliases, arguments as (flag, add_argument keywords), handler)
+# name -> (help, aliases, arguments as (flag, add_argument keywords), handler
+# or suite name); a suite row's option dests are parameters of that suite
 COMMANDS = {
     "expsum-eval": ("evaluate one twisted sum", (), (
         ("--m", dict(type=int, required=True)),
@@ -207,14 +187,14 @@ COMMANDS = {
         ("--trials", dict(type=int, default=1000)),
         ("--max-c", dict(type=int, default=4096)),
         ("--exhaustive-max", dict(type=int, default=128)),
-    ), _expsum_sweep),
+    ), "weil_sweep_suite"),
     "verify-mult": ("factored vs naive agreement", ("expsum-verify-mult",), (
         ("--trials", dict(type=int, default=200)),
         ("--max-c", dict(type=int, default=10000)),
-    ), _verify_mult),
+    ), "verify_mult_suite"),
     "salie-bounds": ("prime-power bound sweep", (), (
         ("--pmax", dict(type=int, default=5000)),
-    ), _salie_bounds),
+    ), "salie_bound_suite"),
     "specfun-check": ("kernel identity suite", (), (), _specfun_check),
     "specfun-whittaker": ("point or ratio-grid values", (), (
         ("--eta", dict(type=_finite, required=True)),
@@ -229,12 +209,12 @@ COMMANDS = {
     "oscillatory-map": ("G-kernel bound map", ("specfun-oscillatory",), (
         ("--n-omega", dict(type=int, default=8)),
         ("--n-T", dict(type=int, default=6)),
-        ("--kappa", dict(type=_finite, action="append", default=None)),
-    ), _oscillatory_map),
-    "specfun-mellin-barnes": ("contour vs direct checks", (), (), _mellin_barnes),
+        ("--kappa", dict(dest="kappas", metavar="KAPPA", type=_finite, action="append")),
+    ), "oscillatory_map_suite"),
+    "specfun-mellin-barnes": ("contour vs direct checks", (), (), "mellin_suite"),
     "theta-check": ("weight-1/2 multiplier residuals", (), (
         ("--trials", dict(type=int, default=100)),
-    ), _theta_check),
+    ), "theta_suite"),
     "shifted-sum": ("sharp-cutoff experiment", (), (
         ("--form", dict(required=True, help="coefficient file, or 'eta7'")),
         ("--h", dict(type=int, required=True)),
@@ -252,8 +232,8 @@ COMMANDS = {
         ("--ymax", dict(type=int, default=4000)),
     ), _sym2),
     "remark-check": ("explicit inner-product value", (), (
-        ("--k", dict(type=int, action="append", default=None)),
-    ), _remark_check),
+        ("--k", dict(dest="ks", metavar="K", type=int, action="append")),
+    ), "remark_suite"),
     "gen-form": ("write the eta7 coefficient file", (), (
         ("--M", dict(type=int, default=100000)),
         ("--file", dict(required=True)),
@@ -273,7 +253,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="artifact directory")
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(name=name, handler=handler)
+        if isinstance(handler, str):
+            p.set_defaults(name=name, handler=_run_suite, suite=handler)
+        else:
+            p.set_defaults(name=name, handler=handler)
     return top
 
 

@@ -1,7 +1,7 @@
 """Seeded verification suites behind the CLI commands and the acceptance
-tests.  Each suite returns (header, rows, summary_lines, ok): the CSV
-column names, CSV-ready rows, a human-readable report with one pass/fail
-line per property, and the hard-assertion verdict.
+tests.  Each suite returns (header, rows, summary_lines, ok) through
+`_report`: the CSV column names, CSV-ready rows, one PASS/FAIL line per
+checked property, and the verdict, true iff every line passes.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"need trials >= 1, got {trials}")
 
 
+def _report(header, rows, *checks):
+    """The suite tuple for (passed, text) checks: one PASS/FAIL line each, ok iff all pass."""
+    lines = [f"{'PASS' if passed else 'FAIL'} {text}" for passed, text in checks]
+    return header, rows, lines, all(passed for passed, _ in checks)
+
+
 def default_characters():
     return [
         trivial_character(4),
@@ -75,13 +81,10 @@ def verify_mult_suite(seed: int = 7, trials: int = 200, max_c: int = 10_000):
 
     rows = [one(i) for i in range(trials)]
     worst = max(r[8] for r in rows)
-    ok = worst <= 1.0
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} twisted multiplicativity: factored == naive "
-        f"on {trials} random tuples (c <= {max_c}); "
-        f"max deviation {worst:.3e} of the 1e-8*phi(c) budget",
-    ]
-    return ["m", "n", "c", "ell", "char", "re", "im", "deviation", "budget_used"], rows, lines, ok
+    return _report(["m", "n", "c", "ell", "char", "re", "im", "deviation", "budget_used"], rows,
+                   (worst <= 1.0, f"twisted multiplicativity: factored == naive on {trials} "
+                    f"random tuples (c <= {max_c}); max deviation {worst:.3e} of the "
+                    f"1e-8*phi(c) budget"))
 
 
 def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
@@ -108,14 +111,11 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
     rnd = [one(i) for i in range(trials)]
     rows.extend(rnd)
     worst_rnd = max(r[4] for r in rnd)
-    ok = worst_ex <= 1.0 and worst_rnd <= 1.0
-    lines = [
-        f"{'PASS' if worst_ex <= 1.0 else 'FAIL'} square-root cancellation bound, exhaustive sweep "
-        f"c <= {exhaustive_max}, all (m, n), ell in {{1,3}}: max ratio {worst_ex:.4f}",
-        f"{'PASS' if worst_rnd <= 1.0 else 'FAIL'} same bound on {trials} random tuples "
-        f"(c <= {max_c}): max ratio {worst_rnd:.4f}",
-    ]
-    return ["kind", "c", "ell", "char", "ratio"], rows, lines, ok
+    return _report(["kind", "c", "ell", "char", "ratio"], rows,
+                   (worst_ex <= 1.0, f"square-root cancellation bound, exhaustive sweep c <= "
+                    f"{exhaustive_max}, all (m, n), ell in {{1,3}}: max ratio {worst_ex:.4f}"),
+                   (worst_rnd <= 1.0, f"same bound on {trials} random tuples (c <= {max_c}): "
+                    f"max ratio {worst_rnd:.4f}"))
 
 
 def salie_bound_suite(pmax: int = 5000, seed: int = 13):
@@ -141,12 +141,9 @@ def salie_bound_suite(pmax: int = 5000, seed: int = 13):
                 rows.extend((c, int(m), int(n), chi.label, a, b, r) for (m, n), a, b, r
                             in zip(pairs, sizes, bounds, ratios) if r > 0.5)
             c *= p
-    ok = worst <= 1.0 + 1e-9
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} quadratic-twist prime-power bound, odd p^a <= {pmax}, "
-        f"trivial and quadratic characters: max ratio {worst:.4f}",
-    ]
-    return ["c", "m", "n", "char", "abs", "bound", "ratio"], rows, lines, ok
+    return _report(["c", "m", "n", "char", "abs", "bound", "ratio"], rows,
+                   (worst <= 1.0 + 1e-9, f"quadratic-twist prime-power bound, odd p^a <= {pmax}, "
+                    f"trivial and quadratic characters: max ratio {worst:.4f}"))
 
 
 def whittaker_norm_suite():
@@ -161,12 +158,9 @@ def whittaker_norm_suite():
             rel = abs(q - cf) / abs(cf)
             worst = max(worst, rel)
             rows.append((eta, t, q, cf, rel))
-    ok = worst <= tol
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} Whittaker squared-norm identity at eta in {etas}, "
-        f"t in {ts}: max rel err {worst:.2e} (tol {tol:.0e})",
-    ]
-    return ["eta", "t", "quadrature", "closed_form", "rel_err"], rows, lines, ok
+    return _report(["eta", "t", "quadrature", "closed_form", "rel_err"], rows,
+                   (worst <= tol, f"Whittaker squared-norm identity at eta in {etas}, "
+                    f"t in {ts}: max rel err {worst:.2e} (tol {tol:.0e})"))
 
 
 def whittaker_ratio_suite():
@@ -187,33 +181,26 @@ def whittaker_ratio_suite():
                         for y, v in zip(fracs * float(t), r)
                     )
         sups[dbl] = sup
+    # an infinite sup makes the drift inf or nan, which fails the comparison
     drift = abs(sups[2] - sups[1]) / sups[1]
-    ok = math.isfinite(sups[2]) and drift < 0.05
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} uniform Whittaker envelope: sup ratio {sups[1]:.4f}, "
-        f"doubled-grid sup {sups[2]:.4f} (drift {drift:.2%}, needs < 5%)",
-    ]
-    return ["eta", "t", "y", "ratio"], rows, lines, ok
+    return _report(["eta", "t", "y", "ratio"], rows,
+                   (drift < 0.05, f"uniform Whittaker envelope: sup ratio {sups[1]:.4f}, "
+                    f"doubled-grid sup {sups[2]:.4f} (drift {drift:.2%}, needs < 5%)"))
 
 
 def whittaker_lower_suite():
     """Positive lower envelope of the tail-integral ratio across t."""
     ts = (1.0, 2.0, 5.0, 10.0, 30.0)
     alpha = 1.0 / (8.0 * math.pi)
-    rows = []
-    ok = True
-    lines = []
+    rows, checks = [], []
     for eta in (1.25, -1.25):
         vals = [whittaker_lower_bound_check(eta, t, alpha) for t in ts]
         rows.extend((eta, t, v) for t, v in zip(ts, vals))
         lo, hi = min(vals), max(vals)
-        good = lo > 0 and hi / lo < 10.0
-        ok = ok and good
-        lines.append(
-            f"{'PASS' if good else 'FAIL'} tail-integral lower bound at eta={eta}: "
-            f"ratios in [{lo:.4f}, {hi:.4f}], spread x{hi/lo:.2f} (floor > 0, spread < 10)"
-        )
-    return ["eta", "t", "ratio"], rows, lines, ok
+        checks.append((lo > 0 and hi / lo < 10.0, f"tail-integral lower bound at eta={eta}: "
+                       f"ratios in [{lo:.4f}, {hi:.4f}], spread x{hi/lo:.2f} "
+                       f"(floor > 0, spread < 10)"))
+    return _report(["eta", "t", "ratio"], rows, *checks)
 
 
 def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
@@ -243,6 +230,7 @@ def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
                         rows.append((kap, float(om), float(T), g, r))
         sups_large[dbl] = sup_l
         sups_small[dbl] = sup_s
+    # an infinite sup makes its drift inf or nan, which fails the comparison
     drift_l = abs(sups_large[2] - sups_large[1]) / sups_large[1]
     drift_s = abs(sups_small[2] - sups_small[1]) / sups_small[1]
     spots = [(0.5, 2.0, 1.5), (-0.5, 2.0, 1.5), (1.5, 0.7, 2.0), (-1.5, 1.2, 1.0)]
@@ -250,18 +238,13 @@ def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
     for kap, om, T in spots:
         a, b = g_kappa(kap, om, T), g_kappa_t(kap, om, T)
         worst_dual = max(worst_dual, abs(a - b) / max(abs(b), 1e-12))
-    ok = (math.isfinite(sups_large[2]) and drift_l < 0.10
-          and math.isfinite(sups_small[2]) and drift_s < 0.10
-          and worst_dual <= 1e-4)
-    lines = [
-        f"{'PASS' if drift_l < 0.10 else 'FAIL'} oscillatory kernel t-average, omega >= 1: "
-        f"sup |G|/omega^(1/2) = {sups_large[1]:.4f}, doubled-grid drift {drift_l:.2%}",
-        f"{'PASS' if drift_s < 0.10 else 'FAIL'} same, omega <= 1 with omega(1+|log omega|): "
-        f"sup = {sups_small[1]:.4f}, drift {drift_s:.2%}",
-        f"{'PASS' if worst_dual <= 1e-4 else 'FAIL'} dual-route agreement on "
-        f"{len(spots)} spots: worst rel {worst_dual:.2e} (tol 1e-04)",
-    ]
-    return ["kappa", "omega", "T", "G", "ratio"], rows, lines, ok
+    return _report(["kappa", "omega", "T", "G", "ratio"], rows,
+                   (drift_l < 0.10, f"oscillatory kernel t-average, omega >= 1: sup "
+                    f"|G|/omega^(1/2) = {sups_large[1]:.4f}, doubled-grid drift {drift_l:.2%}"),
+                   (drift_s < 0.10, f"same, omega <= 1 with omega(1+|log omega|): "
+                    f"sup = {sups_small[1]:.4f}, drift {drift_s:.2%}"),
+                   (worst_dual <= 1e-4, f"dual-route agreement on {len(spots)} spots: "
+                    f"worst rel {worst_dual:.2e} (tol 1e-04)"))
 
 
 def mellin_suite():
@@ -284,15 +267,11 @@ def mellin_suite():
         worst = max(worst, rel)
         worst_shift = max(worst_shift, shift)
         rows.append((n1, n2, m, k, t, g1, d, rel, shift))
-    ok = worst <= tol and worst_shift <= tol
-    lines = [
-        f"{'PASS' if worst <= tol else 'FAIL'} contour vs direct quadrature on "
-        f"{len(grid)} points (both signs, k in {{5,9}}, t in {{1,2}}): worst rel {worst:.2e}",
-        f"{'PASS' if worst_shift <= tol else 'FAIL'} contour-shift invariance: "
-        f"worst rel {worst_shift:.2e}",
-    ]
-    header = ["n1", "n2", "m", "k", "t", "contour", "direct", "rel_err", "shift_invariance"]
-    return header, rows, lines, ok
+    return _report(["n1", "n2", "m", "k", "t", "contour", "direct", "rel_err", "shift_invariance"],
+                   rows,
+                   (worst <= tol, f"contour vs direct quadrature on {len(grid)} points "
+                    f"(both signs, k in {{5,9}}, t in {{1,2}}): worst rel {worst:.2e}"),
+                   (worst_shift <= tol, f"contour-shift invariance: worst rel {worst_shift:.2e}"))
 
 
 def bessel_bound_suite():
@@ -314,12 +293,10 @@ def bessel_bound_suite():
             c_abs = max(c_abs, ra)
             c_diff = max(c_diff, rd)
             rows.append((t, q, ra, rd))
-    ok = c_abs <= 2.0 and c_diff <= 2.0
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} uniform J-envelopes: max |J| constant {c_abs:.3f}, "
-        f"max conjugate-difference constant {c_diff:.3f} (asserted <= 2.0)",
-    ]
-    return ["t", "q", "abs_constant", "diff_constant"], rows, lines, ok
+    return _report(["t", "q", "abs_constant", "diff_constant"], rows,
+                   (c_abs <= 2.0 and c_diff <= 2.0, f"uniform J-envelopes: max |J| constant "
+                    f"{c_abs:.3f}, max conjugate-difference constant {c_diff:.3f} "
+                    f"(asserted <= 2.0)"))
 
 
 def theta_suite(seed: int = 5, trials: int = 100):
@@ -332,12 +309,9 @@ def theta_suite(seed: int = 5, trials: int = 100):
 
     rows = [one(i) for i in range(trials)]
     worst = max(r[4] for r in rows)
-    ok = worst <= 1e-8
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} weight-1/2 multiplier: {trials} random matrices, "
-        f"max residual {worst:.2e} (tol 1e-08)",
-    ]
-    return ["a", "b", "c", "d", "residual"], rows, lines, ok
+    return _report(["a", "b", "c", "d", "residual"], rows,
+                   (worst <= 1e-8, f"weight-1/2 multiplier: {trials} random matrices, "
+                    f"max residual {worst:.2e} (tol 1e-08)"))
 
 
 def remark_suite(ks=(5, 9)):
@@ -350,12 +324,9 @@ def remark_suite(ks=(5, 9)):
         rel = abs(q - cf) / abs(cf)
         worst = max(worst, rel)
         rows.append((k, q, cf, rel))
-    ok = worst <= 1e-6
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} explicit inner-product value at k in {ks}: "
-        f"worst rel err {worst:.2e} (tol 1e-06)",
-    ]
-    return ["k", "quadrature", "closed_form", "rel_err"], rows, lines, ok
+    return _report(["k", "quadrature", "closed_form", "rel_err"], rows,
+                   (worst <= 1e-6, f"explicit inner-product value at k in {ks}: "
+                    f"worst rel err {worst:.2e} (tol 1e-06)"))
 
 
 def shifted_sum_experiment(f: CuspForm, h: int, x_lo_exp: int = 5, x_hi_exp: int = 12,

@@ -1,10 +1,10 @@
-"""Shifted convolution sums, their Dirichlet series, and exponent fits.
+"""Shifted convolution sums and exponent fits.
 
 The sharp-cutoff sum counts n over all of Z with the square-counting
 weight, S(X) = A(h) + 2 sum_{n >= 1, n^2 + h <= X^2} A(n^2 + h), which
-is the partial-sum reading of the series below under Perron inversion.
-A one-sided variant (n >= 0 only) is exposed for comparison with
-single-sided conventions in the literature.
+is the partial-sum reading of the shifted Dirichlet series under Perron
+inversion.  A one-sided variant (n >= 0 only) is exposed for comparison
+with single-sided conventions in the literature.
 """
 
 from __future__ import annotations
@@ -48,34 +48,6 @@ def shifted_sum_scan(f: CuspForm, h: int, X_max: float, one_sided: bool = False)
     ns, cum = _partial_sums(f, h, math.isqrt(max(int(X_max * X_max - h), 0)), one_sided)
     xs = np.sqrt(ns.astype(np.float64) ** 2 + h)
     return xs, cum[1:]
-
-
-def dirichlet_D_h(f: CuspForm, h: int, s: complex, cutoff: int):
-    """Truncated sum_m r1(m) a(m+h) (m+h)^{-s-k/2+3/4} and a tail estimate.
-
-    Converges absolutely for Re s > 3/4; the tail estimate is the
-    Deligne-bound integral comparison with a log factor for the divisor
-    growth, honest for newform input but heuristic in general.
-    """
-    if h <= 0:
-        raise ValueError("shift h must be positive")
-    w = s + f.weight / 2.0 - 0.75
-    total = f.a(h) * complex(h) ** (-w)
-    jmax = math.isqrt(cutoff)
-    js = np.arange(1, jmax + 1)
-    if len(js):
-        ms = js * js + h
-        terms = f.a(ms) * np.exp(-w * np.log(ms.astype(np.float64)))
-        total += 2.0 * np.sum(terms)
-    sigma = np.real(complex(s))
-    if sigma <= 0.75:
-        tail = math.inf
-    else:
-        # sum_{j > J} d(j^2+h) (j^2+h)^{1/4 - sigma} ~ integral comparison
-        J = max(jmax, 1)
-        tail = (2.0 * (math.log(J * J + h) + 1.2)
-                * J ** (1.5 - 2.0 * sigma) / (2.0 * sigma - 1.5))
-    return complex(total), float(tail)
 
 
 def fit_exponent(xs, S, c: float) -> float:

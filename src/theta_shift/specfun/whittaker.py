@@ -48,10 +48,13 @@ from .gammafun import digamma, log_gamma
 
 _RTOL = 1e-12
 _RTOL_UPPER = 1e-13
-# Ten orders above the solver's atol = 1e-280: against 40-digit mpmath at
-# eta = -20, mu = 250i, |v| >= 6.6e-276 kept W within 8.3e-10 relative, while
-# |v| = 7.4e-282 (y = 1e-3) gave 1.7e-5 and y = 1e-4 an error of 1.9e15.
-_V_FLOOR = 1e-270
+# Four orders above the solver's atol = 1e-280, set by measurement against
+# 40-digit mpmath.  At eta = -20, mu in {150i, 200i, 250i}, every |v| >= 1e-276
+# kept W within 1.1e-9 of its local envelope; at mu = 250i the error grows
+# like 2e-285/|v| below it (1.7e-5 at |v| = 7.4e-282, y = 1e-3).  At
+# eta = -1.25, mu = 250i it stays under 4e-9 down to |v| = 2e-287; at eta >= 0
+# and at real mu = 30, |v| did not come near the floor.
+_V_FLOOR = 1e-276
 # Working range, measured against 40-digit mpmath at eta in {0, +-1.25, +-20},
 # y in {0.01, 1, |mu|, 1.5 |mu|}: within 1e-8 of the local envelope inside it.
 # Beyond it v sinks to the atol floor, y0 runs away, or the tail overflows.

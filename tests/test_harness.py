@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import os
 import re
 import shlex
@@ -57,6 +58,7 @@ class TestSuites:
         assert len(set(header)) == len(header)
         assert rows and all(len(r) == len(header) for r in rows)
         assert lines
+        assert ok == all(line.startswith("PASS") for line in lines)
 
     def test_specfun_check_writes_the_union_of_columns(self, tmp_path, monkeypatch):
         stubs = {
@@ -136,7 +138,19 @@ class TestCli:
     def test_remark_check(self, tmp_path, capsys):
         rc = main(["remark-check", "--k", "5", "--out", str(tmp_path)])
         assert rc == 0
-        assert "PASS" in capsys.readouterr().out
+        assert "PASS explicit inner-product value at k in (5,):" in capsys.readouterr().out
+
+    def test_failed_check_exits_one_and_writes_its_artifact(self, tmp_path, capsys):
+        # one kappa on a 2 x 2 grid: the omega >= 1 sup moves by 40% under grid doubling
+        rc = main(["oscillatory-map", "--n-omega", "2", "--n-T", "2", "--kappa", "0.5",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line[:4] for line in lines[:3]] == ["FAIL", "PASS", "PASS"]
+        assert "doubled-grid drift 40.12%" in lines[0]
+        _, header, rows = read_csv(tmp_path / "oscillatory-map.csv")
+        assert header == ["kappa", "omega", "T", "G", "ratio"]
+        assert {r[0] for r in rows} == {"0.5"}
 
     def test_artifact_line_carries_the_command_time(self, tmp_path, capsys):
         assert main(["theta-check", "--trials", "3", "--out", str(tmp_path)]) == 0
@@ -318,10 +332,18 @@ class TestCli:
         assert seen == set(COMMANDS)
 
     def test_every_command_option_is_read(self):
+        # a suite row passes the options whose dests name suite parameters and drops
+        # the rest, so a misnamed dest would be ignored; a handler reads args.<dest>
         source = Path(cli.__file__).read_text()
-        unread = [flag for _, _, arguments, _ in COMMANDS.values() for flag, kwargs in arguments
-                  if not re.search(rf"\bargs\.{kwargs.get('dest', flag[2:].replace('-', '_'))}\b",
-                                   source)]
+
+        def read(handler, dest):
+            if isinstance(handler, str):
+                return dest in inspect.signature(getattr(suites, handler)).parameters
+            return re.search(rf"\bargs\.{dest}\b", source)
+
+        unread = [flag for _, _, arguments, handler in COMMANDS.values()
+                  for flag, kwargs in arguments
+                  if not read(handler, kwargs.get("dest", flag[2:].replace("-", "_")))]
         assert unread == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -12,7 +12,7 @@ from theta_shift.modforms.residual import (
     residual_constant_duplication,
     sym2_residue_estimate,
 )
-from theta_shift.modforms.sums import dirichlet_D_h, fit_exponent, shifted_sum, shifted_sum_scan
+from theta_shift.modforms.sums import fit_exponent, shifted_sum, shifted_sum_scan
 
 
 class TestShiftedSum:
@@ -56,31 +56,6 @@ class TestShiftedSum:
     def test_coefficient_shortage_names_requirement(self, eta7_small):
         with pytest.raises(IndexError, match=r"n\^2\+h"):
             shifted_sum(eta7_small, 1, [1e6])
-
-
-class TestDirichletSeries:
-    def test_leading_term(self, eta7_small):
-        f = eta7_small
-        h = 2
-        s = 5.0
-        val, tail = dirichlet_D_h(f, h, s, cutoff=0)
-        w = s + f.weight / 2 - 0.75
-        assert val == pytest.approx(f.a(2) * 2.0 ** (-w))
-
-    def test_tail_below_threshold_at_large_s(self, eta7_small):
-        _, tail = dirichlet_D_h(eta7_small, 1, 5.0, cutoff=10**4)
-        assert tail < 1e-8
-
-    def test_cauchy_doubling(self, eta7_small):
-        f = eta7_small
-        for s in (1.0, 1.5 + 2.0j, 5.0):
-            v1, t1 = dirichlet_D_h(f, 1, s, cutoff=10**4)
-            v2, _ = dirichlet_D_h(f, 1, s, cutoff=2 * 10**4)
-            assert abs(v1 - v2) <= t1 * 1.5 + 1e-12
-
-    def test_divergent_region_flagged(self, eta7_small):
-        _, tail = dirichlet_D_h(eta7_small, 1, 0.5, cutoff=100)
-        assert tail == math.inf
 
 
 class TestFitExponent:

@@ -62,10 +62,20 @@ class TestDomain:
             with pytest.raises(ValueError, match="argument must be positive"):
                 whittaker_W(0.5, 0.25, y)
 
-    def test_below_solver_floor_raises(self):
+    @pytest.fixture(scope="class")
+    def edge_solution(self):
+        return whittaker_solution(-20.0, 250j, 1e-3, 2e-3)
+
+    def test_below_solver_floor_raises(self, edge_solution):
         # v = W e^{y/2} y^{-eta} is 7.4e-282 here, under atol = 1e-280: W was off by 1.7e-5
         with pytest.raises(ValueError, match=r"eta=-20, y=0\.001 is below the solver floor"):
-            whittaker_W(-20.0, 250j, 1e-3)
+            edge_solution.w_values(1e-3)
+
+    def test_just_above_solver_floor_is_accurate(self, edge_solution):
+        # v is 6.6e-276 here, above the floor of 1e-276
+        with mp.workdps(40):
+            ref = float(mp.re(mp.whitw(-20, 250j, 2e-3)))
+        assert abs(edge_solution.w_values(2e-3)[0] - ref) <= 1e-9 * abs(ref)
 
     @pytest.mark.parametrize("eta, mu", [(0.0, 0.5), (-1.25, 2j)])
     def test_tiny_y_is_accurate(self, eta, mu):
