@@ -1,6 +1,18 @@
 """Whittaker W function for real or purely imaginary second parameter.
 
-Evaluated by integrating the Whittaker equation inward from asymptotic
+Two routes.  For imaginary mu = it, values at y <= 2|t| (below the
+turning point) come from the convergent 1F1 series of DLMF 13.14.33 with
+13.14.2, one complex term recurrence over all ys:
+
+    W = 2 Re[Gamma(-2it) / Gamma(1/2 - it - eta) e^{-y/2} y^{1/2 + it}
+             1F1(1/2 + it - eta; 1 + 2it; y)].
+
+Each point is certified by cond = 2 |pref| y^{1/2} e^{-y/2} max|term| / |W|,
+the cancellation the sum suffers; a point with cond above 1e3, or still
+unconverged after 1000 terms, goes to the ODE below with every other
+point (real mu, y > 2|t|).  The squared-integral functionals are ODE only.
+
+The ODE route integrates the Whittaker equation inward from asymptotic
 initial data.  Working with the scaled unknown v = W e^{y/2} y^{-eta}
 keeps everything real and inside double range even at spectral
 parameters around t ~ 40 (where W itself sits near e^{-pi t / 2}):
@@ -61,6 +73,12 @@ _V_FLOOR = 1e-276
 _ETA_MAX = 20.0
 _IMAG_MU_MAX = 250.0
 _REAL_MU_MAX = 30.0
+# Where the 1F1 series certifies a point.  Against 40-digit mpmath
+# at eta in {0, +-1.25, +-20}, t in {1, 40, 150, 250}, 1e-8 <= y <= 2t, every
+# point with cond <= 1e3 was within 4.1e-12 relative (6.3e-13 of the local
+# envelope); beyond it the error grows like cond * 1e-15 (4.5e-11 at cond 4e4).
+_SERIES_TERMS = 1000
+_SERIES_COND = 1e3
 
 
 def _asymptotic_v(eta: float, mu2: float, y0: float):
@@ -128,7 +146,11 @@ def _rhs(eta: float, coeff: float, rate: float):
 
     def rhs(y, s):
         v, dv, q1, q2 = s
-        f = math.exp((rate - 1.0) * y + 2.0 * eta * math.log(y)) * v * v
+        log_f = (rate - 1.0) * y + 2.0 * eta * math.log(y)
+        try:
+            f = math.exp(log_f) * v * v
+        except OverflowError:   # y^{2 eta} beyond double range, while v^2 is tiny
+            f = math.exp(log_f + 2.0 * math.log(abs(v))) if v else 0.0
         return (dv,
                 (1.0 - 2.0 * eta / y) * dv - coeff / (y * y) * v,
                 rate * q1 + f / y,
@@ -138,7 +160,10 @@ def _rhs(eta: float, coeff: float, rate: float):
 
 
 def _leg(rhs, y_start: float, y_stop: float, state, **opts):
-    sol = solve_ivp(rhs, (y_start, y_stop), state, **opts)
+    # where the squared integrals leave double range (real mu at tiny y) the
+    # states overflow and the step control fails, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (y_start, y_stop), state, **opts)
     if not sol.success:
         raise RuntimeError(f"Whittaker integration failed: {sol.message}")
     return sol
@@ -178,27 +203,74 @@ def _mu2_of(mu: complex) -> float:
     return mu.real**2 - mu.imag**2
 
 
-def whittaker_solution(eta: float, mu: complex, y_min: float, y_max: float) -> WhittakerSolution:
-    """Raises ValueError outside |eta| <= 20 and |mu| <= 250 (imaginary) or 30 (real)."""
+def _params(eta: float, mu: complex) -> tuple[float, float]:
+    """(eta, mu^2); raises ValueError outside |eta| <= 20 and |mu| <= 250
+    (imaginary) or 30 (real)."""
     if not abs(eta) <= _ETA_MAX:
         raise ValueError(f"Whittaker W needs |eta| <= {_ETA_MAX:g}, got eta={eta}")
     kind, mu_max = ("real", _REAL_MU_MAX) if complex(mu).imag == 0 else ("imaginary", _IMAG_MU_MAX)
     if not abs(mu) <= mu_max:
         raise ValueError(f"Whittaker W needs |mu| <= {mu_max:g} for {kind} mu, got mu={mu}")
-    return _solve_scaled(float(eta), _mu2_of(mu), float(y_min), float(y_max))
+    return float(eta), _mu2_of(mu)
+
+
+def whittaker_solution(eta: float, mu: complex, y_min: float, y_max: float) -> WhittakerSolution:
+    """The inward ODE solve down to y_min; raises ValueError outside the working range."""
+    return _solve_scaled(*_params(eta, mu), float(y_min), float(y_max))
+
+
+def _series(eta: float, t: float, ys: np.ndarray):
+    """W_{eta,it}(ys), t > 0, by the 1F1 series (module docstring), each point
+    stopped at a term below 1e-17 of its sum; and the mask of points it
+    certifies: converged within _SERIES_TERMS terms, cond <= _SERIES_COND."""
+    a, b = complex(0.5 - eta, t), complex(1.0, 2.0 * t)
+    log_pref = log_gamma(complex(0.0, -2.0 * t)) - log_gamma(complex(0.5 - eta, -t))
+    sums = np.ones(ys.size, dtype=np.complex128)
+    peaks = np.full(ys.size, np.inf)   # stays inf where the series runs out of terms
+    idx, y, term, total, peak = np.arange(ys.size), ys, sums, sums, np.ones(ys.size)
+    for k in range(_SERIES_TERMS):
+        term = term * ((a + k) / ((b + k) * (k + 1)) * y)
+        total = total + term
+        size = np.abs(term)
+        peak = np.maximum(peak, size)
+        done = size < 1e-17 * np.abs(total)
+        if done.any():
+            sums[idx[done]], peaks[idx[done]] = total[done], peak[done]
+            idx, y, term, total, peak = (x[~done] for x in (idx, y, term, total, peak))
+            if not idx.size:
+                break
+    sums[idx] = total
+    log_outer = log_pref + complex(0.5, t) * np.log(ys) - 0.5 * ys
+    ws = 2.0 * np.exp(log_outer + np.log(sums)).real
+    size = np.abs(ws)
+    log_size = np.log(size, out=np.full(ys.size, -np.inf), where=size > 0)
+    return ws, math.log(2.0) + log_outer.real + np.log(peaks) - log_size <= math.log(_SERIES_COND)
 
 
 def whittaker_W(eta: float, mu: complex, y: float) -> float:
     """W_{eta,mu}(y) at one positive y, real-valued in both parameter regimes."""
-    if not y > 0:   # nan too
-        raise ValueError(f"argument must be positive, got y={y}")
     return float(whittaker_W_grid(eta, mu, y)[0])
 
 
 def whittaker_W_grid(eta: float, mu: complex, ys) -> np.ndarray:
+    """W_{eta,mu} over positive ys.  For imaginary mu = it, a point y <= 2|t|
+    that the 1F1 series certifies is served by it; every other point by one
+    inward ODE solve over their range."""
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
-    sol = whittaker_solution(eta, mu, float(np.min(ys)), float(np.max(ys)))
-    return sol.w_values(ys)
+    if not np.all(ys > 0):   # nan too
+        raise ValueError(f"argument must be positive, got y={ys[~(ys > 0)][0]}")
+    eta, mu2 = _params(eta, mu)
+    t = math.sqrt(-mu2) if mu2 < 0 else 0.0   # a real mu leaves no y below 2t
+    below = ys <= 2.0 * t
+    ws = np.empty_like(ys)
+    ode = ~below
+    if below.any():
+        ws[below], certified = _series(eta, t, ys[below])
+        ode[below] = ~certified
+    if ode.any():
+        rest = ys[ode]
+        ws[ode] = whittaker_solution(eta, mu, rest.min(), rest.max()).w_values(rest)
+    return ws
 
 
 def whittaker_uniform_ratio(eta: float, t: float, y: float) -> float:
@@ -210,7 +282,8 @@ def whittaker_uniform_ratio(eta: float, t: float, y: float) -> float:
 
 
 def whittaker_uniform_ratio_grid(eta: float, t: float, ys) -> np.ndarray:
-    """whittaker_uniform_ratio over many y at one (eta, t): single solve."""
+    """whittaker_uniform_ratio over many y at one (eta, t), through whittaker_W_grid:
+    on y <= 1.5 t the 1F1 series serves every point it certifies."""
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     if t < 1:
         raise ValueError("t must be >= 1")

@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -261,7 +262,8 @@ class TestCli:
 
         whittaker._solve_scaled.cache_clear()  # a cached solve would not reach solve_ivp
         monkeypatch.setattr(whittaker, "solve_ivp", failing_solve)
-        rc = main(["specfun", "whittaker", "--eta", "1.25", "--t", "2",
+        # a real mu: at imaginary mu = 2i, y = 3 is served by the 1F1 series
+        rc = main(["specfun", "whittaker", "--eta", "1.25", "--mu", "0.25",
                    "--y", "3.0", "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == (
@@ -435,7 +437,7 @@ class TestCli:
         (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "32", "--xmax", "4096"],
          "shifted-sum", "7fed2a125349549e6ccd728fd76c5492d8c337594b43e89d47f2fe4a7b97bd25"),
         (["specfun", "whittaker", "--eta", "1.25", "--t", "2", "--y", "3.0", "--y", "1.0"],
-         "specfun-whittaker", "391fe66504f3be89557ca116cddcea18852d3ef01f9d9f7b9665105a2689fe64"),
+         "specfun-whittaker", "2fd80dda210c74f547fcf032f57c18bf3efd5728043572094b1191f6cfb4b6e0"),
         (["oscillatory-map", "--n-omega", "2", "--n-T", "2"], "oscillatory-map",
          "26bcdeef27f1216e79983a638123eea9ee7475256eb2ccefe3b25e96bb5aa9f0"),
     ], ids=["expsum-sweep", "verify-mult", "salie-bounds", "shifted-sum",
@@ -511,13 +513,43 @@ class TestOutOfRangeInput:
         assert re.match(r"error: Whittaker W needs \|(eta|mu)\| <= ", err)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("eta, t, y", [(-20, 250, 1e-3), (-20, 250, 1e-8), (-20, 100, 2e-9)])
+    def test_whittaker_series_below_the_ode_floor(self, tmp_path, eta, t, y):
+        # the ODE refuses y = 1e-3 at its floor and overflowed at the other two;
+        # the 1F1 series serves all three
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["specfun", "whittaker", "--eta", str(eta), "--t", str(t), "--y", str(y),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        got = float(read_csv(tmp_path / "specfun-whittaker.csv")[2][0][3])
+        with mp.workdps(40):
+            ref = float(mp.re(mp.whitw(eta, 1j * t, y)))
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
     def test_whittaker_below_solver_floor_exits(self, tmp_path, capsys):
-        rc = main(["specfun", "whittaker", "--eta", "-20", "--t", "250", "--y", "0.001",
-                   "--out", str(tmp_path)])
+        # a real mu, so the ODE serves it; it raised OverflowError in the
+        # equation's right-hand side before reaching the floor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["specfun", "whittaker", "--eta", "-20", "--mu", "0.5", "--y", "3e-14",
+                       "--out", str(tmp_path)])
         assert rc == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: Whittaker W at eta=-20, y=0.001 is below the solver floor")
+        assert err.startswith("error: Whittaker W at eta=-20, y=3e-14 is below the solver floor")
+        assert not any(tmp_path.iterdir())
+
+    def test_whittaker_squared_integral_overflow_exits(self, tmp_path, capsys):
+        # W = 2.5e232 here: the squared-integral states leave double range,
+        # where the right-hand side raised OverflowError before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["specfun", "whittaker", "--eta", "-20", "--mu", "10", "--y", "1e-26",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: Whittaker integration failed: Required step "
+                                           "size is less than spacing between numbers.\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("ymax", ["99999999999999999999999", "9999999999999999999",

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from theta_shift.specfun import whittaker
 from theta_shift.specfun.whittaker import (
     whittaker_W,
     whittaker_W_grid,
@@ -185,3 +186,45 @@ class TestWorkingRange:
         with mp.workdps(40):
             ref = float(mp.re(mp.whitw(eta, mu, y)))
         assert whittaker_W(eta, mu, y) == pytest.approx(ref, rel=1e-8)
+
+
+class TestSeriesRoute:
+    """Below the turning point, imaginary mu: the 1F1 series against the ODE
+    solve and 40-digit mpmath."""
+
+    @pytest.mark.parametrize("eta", [1.25, -1.25])
+    def test_against_ode_and_mpmath_on_c5_grid(self, eta):
+        # the grid of whittaker_ratio_suite at its doubled resolution
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, t in enumerate(np.geomspace(1.0, 40.0, 12)):
+                ys = np.linspace(0.02, 1.5, 24) * t
+                series, certified = whittaker._series(eta, t, ys)
+                assert certified.all()
+                assert np.array_equal(whittaker_W_grid(eta, 1j * t, ys), series)
+                ode = whittaker_solution(eta, 1j * t, ys.min(), ys.max()).w_values(ys)
+                assert np.max(np.abs(series - ode)) <= 1e-10 * np.max(np.abs(ode))
+                if i % 2 == 0:
+                    with mp.workdps(40):
+                        ref = np.array([float(mp.re(mp.whitw(eta, 1j * t, y))) for y in ys])
+                    assert np.all(np.abs(series - ref) <= 5e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("eta, t, ys", [(-20.0, 1.0, [1.5, 2.0]), (-20.0, 250.0, [500.0])])
+    def test_uncertified_points_go_to_the_ode(self, eta, t, ys):
+        # cond = 4.6e6 and 1.2e8 at t = 1, 5e14 at t = 250
+        ys = np.array(ys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, certified = whittaker._series(eta, t, ys)
+            got = whittaker_W_grid(eta, 1j * t, ys)
+        assert not certified.any()
+        assert np.array_equal(got, whittaker_solution(eta, 1j * t, ys.min(), ys.max()).w_values(ys))
+        with mp.workdps(40):
+            for y, w in zip(ys, got):
+                assert w == pytest.approx(float(mp.re(mp.whitw(eta, 1j * t, y))), rel=1e-8)
+
+    def test_points_above_twice_t_go_to_the_ode(self):
+        ys = np.array([1.0, 3.0, 6.0])
+        got = whittaker_W_grid(1.25, 2j, ys)
+        assert got[:2].tolist() == whittaker._series(1.25, 2.0, ys[:2])[0].tolist()
+        assert got[2] == whittaker_solution(1.25, 2j, 6.0, 6.0).w_values(6.0)[0]
