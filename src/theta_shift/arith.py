@@ -130,6 +130,19 @@ def _legendre(r: np.ndarray, p: int) -> np.ndarray:
     return table[r]
 
 
+def unit_mask(n: int) -> np.ndarray:
+    """Boolean array over the residues 0..n-1 of n >= 1: True where gcd(d, n) = 1.
+
+    A sieve over the primes of n: every multiple of each prime is struck out.
+    """
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    mask = np.ones(n, dtype=bool)
+    for p, _ in factorize(n):
+        mask[::p] = False
+    return mask
+
+
 def unit_table(c: int):
     """Units d mod c in increasing order with their inverses, as int64 arrays.
 
@@ -139,7 +152,7 @@ def unit_table(c: int):
     """
     if c < 1:
         raise ValueError(f"modulus must be >= 1, got c={c}")
-    units = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+    units = np.flatnonzero(unit_mask(c))
     e = len(units) - 1
     invs = np.full(len(units), 1 % c, dtype=np.int64)
     b = units % c
@@ -186,7 +199,7 @@ class DirichletCharacter:
         """Least f | N with chi = 1 on the units = 1 mod f."""
         n = self.modulus
         d = np.arange(n)
-        off = d[(np.gcd(d, n) == 1) & (np.abs(self.values - 1) >= 1e-9)] - 1
+        off = d[unit_mask(n) & (np.abs(self.values - 1) >= 1e-9)] - 1
         return next((int(f) for f in d[n % (d + 1) == 0] + 1 if not np.any(off % f == 0)), n)
 
     def __call__(self, d: int) -> complex:
@@ -203,7 +216,7 @@ class DirichletCharacter:
         vals = self.values
         if vals[1 % n] != 1:
             raise ValueError("character must take value 1 at d = 1")
-        coprime = np.gcd(np.arange(n), n) == 1
+        coprime = unit_mask(n)
         non_unit = coprime & ~(np.abs(np.abs(vals) - 1.0) <= 1e-12)   # nan too
         stray = ~coprime & (vals != 0)
         bad = non_unit | stray
@@ -223,7 +236,7 @@ class DirichletCharacter:
 
 
 def trivial_character(n: int) -> DirichletCharacter:
-    return DirichletCharacter(modulus=n, values=np.gcd(np.arange(n), n) == 1,
+    return DirichletCharacter(modulus=n, values=unit_mask(n),
                               label=f"trivial mod {n}")
 
 
@@ -235,8 +248,7 @@ def char_from_kronecker(D: int, N: int) -> DirichletCharacter:
     """
     if N <= 0:
         raise ValueError("modulus must be positive")
-    d = np.arange(2 * N)
-    vals = np.where(np.gcd(d, N) == 1, kronecker_array(D, d), 0)
+    vals = np.where(np.tile(unit_mask(N), 2), kronecker_array(D, np.arange(2 * N)), 0)
     if np.any(vals[N:] != vals[:N]):
         raise ValueError(f"(D/.) with D={D} is not periodic mod {N}")
     chi = DirichletCharacter(modulus=N, values=vals[:N], label=f"({D}/.) mod {N}")
@@ -267,7 +279,7 @@ def char_factor(chi: DirichletCharacter, r: int, s: int):
         # chi_f(d) = chi(d') with d' = d mod nf, d' = 1 mod ng: d' = 1 + ng k, ng k = d-1 mod nf
         d = np.arange(nf)
         dp = (1 + ng * ((d - 1) * pow(ng, -1, nf) % nf)) % N
-        vals = np.where(np.gcd(d, nf) == 1, chi.values[dp], 0)
+        vals = np.where(unit_mask(nf), chi.values[dp], 0)
         return DirichletCharacter(modulus=nf, values=vals)
 
     return component(nr, ns), component(ns, nr)

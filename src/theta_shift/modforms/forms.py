@@ -23,6 +23,7 @@ from ..arith import (
     char_from_table,
     primes_upto,
     trivial_character,
+    unit_mask,
 )
 
 
@@ -133,7 +134,7 @@ def load_form(path) -> CuspForm:
             raise ValueError(f"{path}: char_table needs {level0} values, got {len(table)}")
         # lifted like the Kronecker path: chi(d) = table[d mod level0] on units mod level
         d = np.arange(level)
-        chi = char_from_table(level, np.where(np.gcd(d, level) == 1, table[d % level0], 0))
+        chi = char_from_table(level, np.where(unit_mask(level), table[d % level0], 0))
     else:
         chi = trivial_character(level)
     if not pairs:

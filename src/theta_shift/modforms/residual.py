@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..arith import factorize, kronecker_array
+from ..arith import factorize, kronecker_array, unit_mask
 from ..specfun.mellin import direct_G
 from .forms import CuspForm, r1
 
@@ -35,7 +35,7 @@ def residual_conditions(f: CuspForm) -> list:
     if n4 % 2 == 0 or not _is_squarefree(n4):
         problems.append("N/4 must be odd and square-free")
     else:
-        units = np.flatnonzero(np.gcd(np.arange(f.level), f.level) == 1)
+        units = np.flatnonzero(unit_mask(f.level))
         diff = f.character.values[units] - kronecker_array(units, n4)
         if np.max(np.abs(diff)) >= 1e-9:
             problems.append("character must be (./(N/4))")

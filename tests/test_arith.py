@@ -18,6 +18,7 @@ from theta_shift.arith import (
     kronecker_array,
     primes_upto,
     trivial_character,
+    unit_mask,
     unit_table,
 )
 
@@ -276,6 +277,14 @@ class TestVectorRoutes:
         chi = DirichletCharacter(modulus=N, values=tuple(values))
         with pytest.raises(ValueError, match=re.escape(message)):
             chi.validate(exhaustive=exhaustive)
+
+
+def test_unit_mask_equals_gcd_scan():
+    for n in [*range(1, 3001), 4999, 9996, 2**16]:
+        assert np.array_equal(unit_mask(n), np.gcd(np.arange(n), n) == 1), n
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            unit_mask(n)
 
 
 def test_inverse_mod():

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_shift import expsums
-from theta_shift.arith import char_from_kronecker, inverse_mod, kronecker, trivial_character
+from theta_shift.arith import (
+    char_from_kronecker,
+    char_from_table,
+    inverse_mod,
+    kronecker,
+    primes_upto,
+    trivial_character,
+)
 from theta_shift.expsums import (
     kloosterman_factored,
     kloosterman_grid,
@@ -106,6 +113,42 @@ class TestSalie:
         vals = salie_values(9, chi, pairs)
         for (m, n), v in zip(pairs, vals):
             assert abs(v - salie_naive(int(m), int(n), 9, chi).value) < 1e-12
+
+
+class TestSalieTransformMatchesDirectSums:
+    """salie_values takes every pair with a unit entry from one length-c
+    transform; pointwise direct summation is the second route."""
+
+    @staticmethod
+    def _check(rng, c, chi):
+        p = min(d for d in range(2, c + 1) if c % d == 0)
+        pairs = np.array([(1, 0), (1, 1), (-1, c - 1), (0, 1), (p, 1), (p, -1), (0, 0),
+                          (p, p), (c, c), (p, 2 * p), *rng.integers(-3 * c, 3 * c, (12, 2))])
+        branch = {"m" if math.gcd(int(m), c) == 1 else "n" if math.gcd(int(n), c) == 1
+                  else "neither" for m, n in pairs}
+        assert branch == {"m", "n", "neither"}
+        got = salie_values(c, chi, pairs)
+        for (m, n), v in zip(pairs, got):
+            assert abs(v - expsums._direct_sum(int(m), int(n), c, chi)) <= 1e-12 * math.sqrt(c)
+
+    def test_odd_prime_powers(self, rng):
+        for p in (int(p) for p in primes_upto(1000) if p % 2 == 1):
+            for c in (p**a for a in range(1, 10) if p**a <= 1000):
+                for chi in (trivial_character(1), char_from_kronecker(p if p % 4 == 1 else -p, p)):
+                    self._check(rng, c, chi)
+
+    @pytest.mark.parametrize("c, chi", [
+        (28, trivial_character(1)),
+        (28, char_from_kronecker(-7, 28)),
+        (1024, trivial_character(1)),
+        (1024, char_from_kronecker(8, 8)),
+        (1024, char_from_kronecker(-4, 4)),
+        (3996, trivial_character(1)),
+        (3996, char_from_kronecker(12, 12)),
+        (625, char_from_table(5, [0, 1, 1j, -1j, -1])),   # order 4: chi(2) = i
+    ])
+    def test_other_moduli_and_characters(self, rng, c, chi):
+        self._check(rng, c, chi)
 
 
 class TestFactored:

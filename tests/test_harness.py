@@ -429,7 +429,7 @@ class TestCli:
         (["verify-mult"], "verify-mult",
          "2c97301747fce571d6489a7be9e587423547920181a1d57ace3216298f592a8e"),
         (["salie-bounds", "--pmax", "200"], "salie-bounds",
-         "ccd7ea5db271df7f33c79c613a4312b04e20e799a0a15d443c6e0e8c6b04f3a2"),
+         "5b83491fd802da987048a9de5e212aae4fe84a8319567f107d263abf04faf999"),
         (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "4", "--xmax", "512"],
          "shifted-sum", "41bd6b415a788ea97da91ee41f87a6dc77605cfa5de233eb4a20c5dcea73b335"),
         (["shifted-sum", "--form", "eta7", "--h", "7", "--xmin", "32", "--xmax", "4096"],
@@ -447,7 +447,9 @@ class TestCli:
         # SHA-256 of CSVs recorded before a rewrite of the code that computes
         # them (numpy 2.4, x86-64): the per-element table loops (expsums), the
         # per-term shifted-sum loop, the scalar Whittaker point path and the
-        # per-panel Gauss-Legendre loops (oscillatory kernel)
+        # per-panel Gauss-Legendre loops (oscillatory kernel).  salie-bounds was
+        # re-recorded for the batch transform and the tie-free row filter: every
+        # row kept matched the per-pair gather's CSV to 1.3e-15 relative
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
 
@@ -489,10 +491,12 @@ class TestOutOfRangeInput:
         assert got["99999999999999999999999"] == got["3"]
 
     def test_salie_bounds_unchanged(self, tmp_path):
-        # recorded while every pair still took its own scalar bound call
+        # recorded when the batch transform replaced the per-pair gather and the
+        # row filter stopped keeping ratio-1/2 ties: every row kept matched the
+        # per-pair bound calls' CSV to 3.4e-15 relative
         assert main(["salie-bounds", "--pmax", "1000", "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "salie-bounds.csv").read_bytes()).hexdigest() == (
-            "f1ac422539e54a5e227c0917aaeec526a579d2daab76279ca55f627284265c93")
+            "f2492e4a40b92559a4447eea0d7149a5d9eff04c36a7c250a6ac5f2256b1a967")
 
     def test_bessel_beyond_boosted_limit_exits(self, tmp_path, capsys):
         rc = main(["specfun", "bessel", "--t", "100", "--q", "100000", "--out", str(tmp_path)])
