@@ -143,8 +143,10 @@ def unit_mask(n: int) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=8)
 def unit_table(c: int):
-    """Units d mod c in increasing order with their inverses, as int64 arrays.
+    """Units d mod c in increasing order with their inverses, as read-only
+    int64 arrays, kept for the last 8 moduli.
 
     The inverse of d is d^(phi(c)-1) mod c (Euler), by square-and-multiply
     over the whole array; exact while (c-1)^2 fits in int64.  At c = 1 the
@@ -161,6 +163,7 @@ def unit_table(c: int):
             invs = invs * b % c
         b = b * b % c
         e >>= 1
+    units.flags.writeable = invs.flags.writeable = False
     return units, invs
 
 
@@ -240,20 +243,33 @@ def trivial_character(n: int) -> DirichletCharacter:
                               label=f"trivial mod {n}")
 
 
+_PERIOD_CAP = 1 << 20   # the longest common period char_from_kronecker tabulates
+
+
 def char_from_kronecker(D: int, N: int) -> DirichletCharacter:
     """Tabulate d -> (D/d) as a character mod N.
 
-    Raises ValueError when the map is not periodic mod N (checked
-    directly on one full extra period) or not multiplicative on units.
+    On d >= 0 the symbol has period P = |D| for D = 0, 1 mod 4 and 4|D|
+    otherwise, so the table is compared with it at every unit of one common
+    period L = lcm(N, P); ValueError when they differ, at D = 0, or when
+    L exceeds _PERIOD_CAP.  A table that passes is a character: the symbol
+    is completely multiplicative in d, and a zero at a unit d would differ
+    from the symbol at some d + kN prime to D.
     """
     if N <= 0:
         raise ValueError("modulus must be positive")
-    vals = np.where(np.tile(unit_mask(N), 2), kronecker_array(D, np.arange(2 * N)), 0)
-    if np.any(vals[N:] != vals[:N]):
+    if D == 0:
+        raise ValueError("(0/.) is not a character")
+    L = math.lcm(N, abs(D) if D % 4 in (0, 1) else 4 * abs(D))
+    if L > _PERIOD_CAP:
+        raise ValueError(f"(D/.) with D={D} mod {N} needs a common period of {L}, "
+                         f"above {_PERIOD_CAP}")
+    sym = kronecker_array(D, np.arange(L)).reshape(L // N, N)   # one row per N residues
+    units = unit_mask(N)
+    if np.any(sym[:, units] != sym[0, units]):
         raise ValueError(f"(D/.) with D={D} is not periodic mod {N}")
-    chi = DirichletCharacter(modulus=N, values=vals[:N], label=f"({D}/.) mod {N}")
-    chi.validate()
-    return chi
+    return DirichletCharacter(modulus=N, values=np.where(units, sym[0], 0),
+                              label=f"({D}/.) mod {N}")
 
 
 def char_from_table(N: int, values) -> DirichletCharacter:

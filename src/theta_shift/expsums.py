@@ -21,6 +21,7 @@ Pure functions over immutable inputs; sweeps parallelize freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,8 +69,12 @@ def _sum_table(c: int, chi: DirichletCharacter, ell: int | None = None):
     return units, invs, eps * chiv * kronecker_array(c, units)
 
 
+@functools.lru_cache(maxsize=8)
 def _roots(c: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(c) / c)
+    """e(k/c) for k = 0..c-1, read-only, kept for the last 8 moduli."""
+    roots = np.exp(2j * np.pi * np.arange(c) / c)
+    roots.flags.writeable = False
+    return roots
 
 
 def _phase(m, n, c: int, units: np.ndarray, invs: np.ndarray) -> np.ndarray:

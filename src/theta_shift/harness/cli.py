@@ -170,36 +170,36 @@ def _gen_form(args):
 
 
 # name -> (help, aliases, arguments as (flag, add_argument keywords), handler
-# or suite name); a suite row's option dests are parameters of that suite
+# or suite name); a suite row's option dests are parameters of that suite, and
+# its options carry no default, so an option left out takes the suite's own
 COMMANDS = {
     "expsum-eval": ("evaluate one twisted sum", (), (
         ("--m", dict(type=int, required=True)),
         ("--n", dict(type=int, required=True)),
         ("--c", dict(type=int, required=True)),
         ("--ell", dict(type=int, default=1)),
-        ("--char-kronecker", dict(type=int, default=None,
-                                  help="discriminant D for the character (D/.)")),
+        ("--char-kronecker", dict(type=int, help="discriminant D for the character (D/.)")),
         ("--char-mod", dict(type=int, default=4)),
         ("--salie", dict(action="store_true", help="evaluate the (d/c)-twisted variant")),
         ("--factored", dict(action="store_true")),
     ), _expsum_eval),
     "expsum-sweep": ("random bound sweep", (), (
-        ("--trials", dict(type=int, default=1000)),
-        ("--max-c", dict(type=int, default=4096)),
-        ("--exhaustive-max", dict(type=int, default=128)),
+        ("--trials", dict(type=int)),
+        ("--max-c", dict(type=int)),
+        ("--exhaustive-max", dict(type=int)),
     ), "weil_sweep_suite"),
     "verify-mult": ("factored vs naive agreement", ("expsum-verify-mult",), (
-        ("--trials", dict(type=int, default=200)),
-        ("--max-c", dict(type=int, default=10000)),
+        ("--trials", dict(type=int)),
+        ("--max-c", dict(type=int)),
     ), "verify_mult_suite"),
     "salie-bounds": ("prime-power bound sweep", (), (
-        ("--pmax", dict(type=int, default=5000)),
+        ("--pmax", dict(type=int)),
     ), "salie_bound_suite"),
     "specfun-check": ("kernel identity suite", (), (), _specfun_check),
     "specfun-whittaker": ("point or ratio-grid values", (), (
         ("--eta", dict(type=_finite, required=True)),
-        ("--t", dict(type=_finite, default=None, help="imaginary second parameter it")),
-        ("--mu", dict(type=_finite, default=None, help="real second parameter")),
+        ("--t", dict(type=_finite, help="imaginary second parameter it")),
+        ("--mu", dict(type=_finite, help="real second parameter")),
         ("--y", dict(type=_finite, action="append", required=True)),
     ), _specfun_whittaker),
     "specfun-bessel": ("J of imaginary order on a grid", (), (
@@ -207,13 +207,13 @@ COMMANDS = {
         ("--q", dict(type=_finite, action="append", required=True)),
     ), _specfun_bessel),
     "oscillatory-map": ("G-kernel bound map", ("specfun-oscillatory",), (
-        ("--n-omega", dict(type=int, default=8)),
-        ("--n-T", dict(type=int, default=6)),
+        ("--n-omega", dict(type=int)),
+        ("--n-T", dict(type=int)),
         ("--kappa", dict(dest="kappas", metavar="KAPPA", type=_finite, action="append")),
     ), "oscillatory_map_suite"),
     "specfun-mellin-barnes": ("contour vs direct checks", (), (), "mellin_suite"),
     "theta-check": ("weight-1/2 multiplier residuals", (), (
-        ("--trials", dict(type=int, default=100)),
+        ("--trials", dict(type=int)),
     ), "theta_suite"),
     "shifted-sum": ("sharp-cutoff experiment", (), (
         ("--form", dict(required=True, help="coefficient file, or 'eta7'")),

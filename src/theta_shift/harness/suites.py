@@ -93,6 +93,10 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
     """Square-root cancellation bound for the twisted Kloosterman sums."""
     _check_trials(trials)
     chars = [trivial_character(4), char_from_kronecker(12, 12)]
+    first = max(math.lcm(4, chi.modulus) for chi in chars)
+    if exhaustive_max < first:
+        raise ValueError(f"need exhaustive_max >= {first}, the least modulus with a grid for "
+                         f"every character, got {exhaustive_max}")
     rows = []
     worst_ex = 0.0
     for chi in chars:
@@ -122,8 +126,8 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
 def salie_bound_suite(pmax: int = 5000, seed: int = 13):
     """Prime-power bound for the quadratic-twisted sums at odd moduli, and each
     batch's value at its first random pair against direct summation."""
-    if pmax < 2:
-        raise ValueError(f"--pmax must be at least 2, got {pmax}")
+    if pmax < 3:   # the least odd prime
+        raise ValueError(f"--pmax must be at least 3, got {pmax}")
     rows = []
     worst = worst_gap = 0.0
     idx = 0
@@ -327,6 +331,8 @@ def theta_suite(seed: int = 5, trials: int = 100):
 
 def remark_suite(ks=(5, 9)):
     """The explicit level-576 inner product against its closed form."""
+    if not ks:
+        raise ValueError("need at least one k")
     rows = []
     worst = 0.0
     for k in ks:
@@ -363,15 +369,11 @@ def exponent_gate(f: CuspForm):
     slope = fit_exponent(xs, S, 0.0)
     # top-of-range slope on the last few octaves, reported alongside
     top = xs >= 2.0 ** 8
-    top_slope = float(np.polyfit(np.log(xs[top]), np.log(np.abs(S[top])), 1)[0]) \
-        if top.sum() >= 2 else math.nan
-    ok = slope <= 0.85 and len(xs) >= 5
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} sharp-cutoff exponent (h={h}, {len(xs)} dyadic points "
-        f"up to X={int(xs[-1])}): slope {slope:.3f} (cap 0.85); "
-        f"top-window slope {top_slope:.3f}",
-    ]
-    return rows, lines, ok, slope
+    top_slope = float(np.polyfit(np.log(xs[top]), np.log(np.abs(S[top])), 1)[0])
+    return _report(["X", "S", "S_over_X"], rows,
+                   (slope <= 0.85, f"sharp-cutoff exponent (h={h}, {len(xs)} dyadic points "
+                    f"up to X={int(xs[-1])}): slope {slope:.3f} (cap 0.85); "
+                    f"top-window slope {top_slope:.3f}"))
 
 
 def main_term_gate(f: CuspForm, h: int = 7):
@@ -383,17 +385,16 @@ def main_term_gate(f: CuspForm, h: int = 7):
     """
     rows = shifted_sum_experiment(f, h)
     c_prev, c_top = rows[-2][2], rows[-1][2]
-    var = abs(c_top - c_prev) / abs(c_top)
-    ok = var < 0.10 and abs(c_top) > 0
+    var = abs(c_top - c_prev) / abs(c_top) if c_top else math.inf   # inf fails the check
     r_hat, quality = sym2_residue_estimate(f, sym2_fit_grid(4000))
     c_est = residual_constant(f, h, r_hat)
     dev = abs(c_est - c_top) / abs(c_top) if c_top else math.inf
     flag = "within" if dev <= 0.25 else "OUTSIDE (predicted constant off by ~sqrt 2)"
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} main-term stabilization (h={h}): S/X = {c_top:.5f}, "
-        f"top-two variation {var:.2%} (needs < 10%), nonzero",
+    header, rows, lines, ok = _report(
+        ["X", "S", "S_over_X"], rows,
+        (var < 0.10, f"main-term stabilization (h={h}): S/X = {c_top:.5f}, "
+         f"top-two variation {var:.2%} (needs < 10%), nonzero"))
+    return header, rows, lines + [
         f"INFO  residue-route comparison: slope estimate R = {r_hat:.4f} "
         f"(quality {quality:.3f}) gives c = {c_est:.4f}; observed {c_top:.4f}; "
-        f"deviation {dev:.1%}, {flag} the 25% band",
-    ]
-    return rows, lines, ok
+        f"deviation {dev:.1%}, {flag} the 25% band"], ok

@@ -331,27 +331,3 @@ def whittaker_norm_closed_form(eta: float, t: float) -> float:
     log_sinh = 2.0 * math.pi * t + math.log1p(-math.exp(-4.0 * math.pi * t)) - math.log(2.0)
     return 2.0 * math.pi * im_psi * math.exp(-log_sinh - log_abs_gamma2)
 
-
-def whittaker_ode_residual_probe(eta: float, mu: complex, y_lo: float, y_hi: float,
-                                 n_points: int = 100, seed: int = 0) -> float:
-    """Max relative defect of the solved W against short independent
-    re-integrations of the Whittaker equation from the stored state.
-
-    A direct finite-difference residual of w'' + (-1/4 + eta/y +
-    (1/4 - mu^2)/y^2) w cannot reach 1e-6 relative in doubles at large
-    spectral parameter, so local re-integration with a different solver
-    stands in as the equation check.
-    """
-    rng = np.random.default_rng(seed)
-    sol = whittaker_solution(eta, mu, y_lo, y_hi)
-    rhs = _rhs(eta, (eta - 0.5) ** 2 - _mu2_of(mu), 0.0)
-    worst = 0.0
-    ys = rng.uniform(y_lo, min(y_hi, sol.dense_top * 0.9), size=n_points)
-    for ya in ys:
-        yb = min(ya * 1.05 + 1e-3, sol.dense_top)
-        check = solve_ivp(rhs, (ya, yb), sol._dense(ya), method="Radau",
-                          rtol=1e-10, atol=1e-280)
-        vb_ref = sol._dense(yb)[0]
-        vb_got = check.y[0, -1]
-        worst = max(worst, abs(vb_got - vb_ref) / max(abs(vb_ref), 1e-300))
-    return worst

@@ -125,8 +125,10 @@ def test_criterion_11_sharp_cutoff_exponent(eta7_big):
     from conftest import BUILD_SECONDS
 
     t0 = time.monotonic()
-    rows, lines, ok, slope = suites.exponent_gate(eta7_big)
+    _, rows, lines, ok = suites.exponent_gate(eta7_big)
     elapsed = time.monotonic() - t0 + BUILD_SECONDS.get("eta7_big", 0.0)
+    xs, S, _ = np.array(rows).T
+    slope = fit_exponent(xs, S, 0.0)
     ok = ok and slope <= 0.85 and len(rows) >= 5 and elapsed < 300.0
     _record(11, "main-term-free exponent at h=1 on the dyadic window",
             ok, f"slope {slope:.3f} <= 0.85 over {len(rows)} points, "
@@ -136,7 +138,7 @@ def test_criterion_11_sharp_cutoff_exponent(eta7_big):
 
 def test_criterion_12_main_term_stabilization(eta7_big):
     t0 = time.monotonic()
-    rows, lines, ok = suites.main_term_gate(eta7_big, h=7)
+    _, rows, lines, ok = suites.main_term_gate(eta7_big, h=7)
     elapsed = time.monotonic() - t0
     info = lines[1]
     _record(12, "main-term case h=7 stabilizes; residue route logged",

@@ -103,6 +103,38 @@ class TestCharacters:
         with pytest.raises(ValueError):
             char_from_kronecker(2, 3)  # (2/.) has period 8, not 3
 
+    @pytest.mark.parametrize("D, N, d", [(101, 4, 19), (-199, 3, 11)])
+    def test_agreement_on_two_periods_of_n_is_not_enough(self, D, N, d):
+        # (D/.) agrees with a character mod N on 0..2N-1 but differs at d
+        assert all(kronecker(D, e) == kronecker(D, e % N) for e in range(2 * N)
+                   if math.gcd(e, N) == 1)
+        assert kronecker(D, d) != kronecker(D, d % N)
+        with pytest.raises(ValueError, match=rf"D={D} is not periodic mod {N}"):
+            char_from_kronecker(D, N)
+
+    def test_zero_and_long_periods_rejected(self):
+        with pytest.raises(ValueError, match="not a character"):
+            char_from_kronecker(0, 4)
+        # refused before any table is built
+        with pytest.raises(ValueError, match="needs a common period of 4000000000000000000004"):
+            char_from_kronecker(10**21 + 1, 4)
+
+    def test_every_accepted_pair_is_its_symbol(self):
+        # each accepted (D, N) equals (D/d) at every unit d below two common periods
+        # and is a character on every unit pair
+        accepted = 0
+        for N in range(3, 61):
+            for D in range(-200, 201):
+                try:
+                    chi = char_from_kronecker(D, N)
+                except ValueError:
+                    continue
+                chi.validate(exhaustive=True)
+                assert all(chi(d) == kronecker(D, d) for d in range(2 * _common_period(D, N))
+                           if math.gcd(d, N) == 1)
+                accepted += 1
+        assert accepted == 703
+
     def test_full_multiplicativity_exhaustive(self):
         # every unit pair, for all constructed characters at N <= 1000
         for N in (1, 2, 4, 7, 12, 28, 60, 576, 1000):
@@ -178,11 +210,19 @@ class TestCharFactor:
                 assert abs(complex(chi(d)) - complex(a(d)) * complex(b(d))) < 1e-12
 
 
+def _common_period(D, N):
+    """lcm of N and the period of d -> (D/d): |D| for D = 0, 1 mod 4, else 4|D|."""
+    return math.lcm(N, abs(D) if D % 4 in (0, 1) else 4 * abs(D))
+
+
 def _scalar_char_from_kronecker(D, N):
-    """Reference route: char_from_kronecker by one scalar symbol per residue."""
+    """Reference route: char_from_kronecker by one scalar symbol per residue
+    of one common period of the table and the symbol."""
+    if D == 0:
+        raise ValueError("(0/.) is not a character")
     vals = [kronecker(D, d) if math.gcd(d, N) == 1 else 0 for d in range(N)]
-    for d in range(N, 2 * N):
-        if math.gcd(d, N) == 1 and kronecker(D, d) != vals[d - N]:
+    for d in range(N, _common_period(D, N)):
+        if math.gcd(d, N) == 1 and kronecker(D, d) != vals[d % N]:
             raise ValueError(f"(D/.) with D={D} is not periodic mod {N}")
     chi = DirichletCharacter(modulus=N, values=vals, label=f"({D}/.) mod {N}")
     chi.validate()
@@ -250,7 +290,7 @@ class TestVectorRoutes:
                 assert chi.label == ref.label
                 assert chi.conductor == _scalar_conductor(chi)
                 accepted += 1
-        assert accepted == 1128
+        assert accepted == 1041
 
     @pytest.mark.parametrize("N, values, exhaustive, message", [
         (5, (0, -1, 1, 1, 1), False, "character must take value 1 at d = 1"),

@@ -15,10 +15,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from theta_shift.arith import trivial_character
 from theta_shift.harness import cli, suites
 from theta_shift.harness.cli import COMMANDS, _normalize_argv, _parser, main
 from theta_shift.harness.csvio import read_csv, write_csv
 from theta_shift.harness.suites import item_rng
+from theta_shift.modforms.eta import eta7_cusp_form_on_demand
+from theta_shift.modforms.forms import CuspForm
 from theta_shift.specfun import whittaker
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,6 +63,25 @@ class TestSuites:
         assert rows and all(len(r) == len(header) for r in rows)
         assert lines
         assert ok == all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize("gate", [suites.exponent_gate, suites.main_term_gate])
+    def test_shifted_sum_gates_report_like_the_suites(self, gate):
+        header, rows, lines, ok = gate(eta7_cusp_form_on_demand())
+        assert header == ["X", "S", "S_over_X"]
+        assert [r[0] for r in rows] == [2.0**j for j in range(5, 13)]
+        verdicts = [line for line in lines if not line.startswith("INFO ")]
+        assert len(verdicts) == 1 and verdicts[0][:4] in ("PASS", "FAIL")
+        assert ok == verdicts[0].startswith("PASS")
+
+    def test_main_term_gate_fails_on_a_vanishing_sum(self):
+        # a(n) = 0 for n > 1 makes every S/X zero: the check fails instead of dividing by it
+        coeffs = np.zeros(4096**2 + 7, dtype=np.int8)
+        coeffs[0] = 1
+        f = CuspForm(level=4, weight=3, character=trivial_character(4), coeffs=coeffs)
+        _, _, lines, ok = suites.main_term_gate(f, h=7)
+        assert not ok
+        assert lines[0].startswith("FAIL main-term stabilization (h=7): S/X = 0.00000, "
+                                   "top-two variation inf%")
 
     def test_specfun_check_writes_the_union_of_columns(self, tmp_path, monkeypatch):
         stubs = {
@@ -254,7 +276,40 @@ class TestCli:
     def test_salie_bounds_pmax_below_two_rejected(self, tmp_path, capsys, pmax):
         rc = main(["salie-bounds", "--pmax", pmax, "--out", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: --pmax must be at least 2, got {pmax}\n"
+        assert capsys.readouterr().err == f"error: --pmax must be at least 3, got {pmax}\n"
+
+    def test_salie_bounds_without_an_odd_prime_rejected(self, tmp_path, capsys):
+        # no odd prime is <= 2, so the sweep would check no batch
+        rc = main(["salie-bounds", "--pmax", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --pmax must be at least 3, got 2\n"
+        assert not (tmp_path / "salie-bounds.csv").exists()
+
+    @pytest.mark.parametrize("exhaustive_max", ["3", "11"])
+    def test_sweep_without_a_grid_per_character_rejected(self, tmp_path, capsys,
+                                                         exhaustive_max):
+        # (12/.) has its first grid at c = 12, the trivial character at c = 4
+        rc = main(["expsum", "sweep", "--exhaustive-max", exhaustive_max, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: need exhaustive_max >= 12, the least modulus with a grid for every "
+            f"character, got {exhaustive_max}")
+
+    def test_remark_suite_without_k_rejected(self):
+        with pytest.raises(ValueError, match="need at least one k"):
+            suites.remark_suite(ks=())
+
+    @pytest.mark.parametrize("D, N, c", [("101", "4", "4"), ("-199", "3", "12"),
+                                         (str(10**30 + 1), "4", "4")])
+    def test_kronecker_symbol_that_is_no_character_mod_n_rejected(self, tmp_path, capsys,
+                                                                   D, N, c):
+        # (101/.) and (-199/.) agree with a character mod N on 0..2N-1 only; the
+        # large D is refused by its common period before any table is built
+        rc = main(["expsum", "eval", "--m", "1", "--n", "1", "--c", c, "--char-kronecker", D,
+                   "--char-mod", N, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: (D/.) with D={D} ")
+        assert not (tmp_path / "expsum-eval.csv").exists()
 
     def test_failed_whittaker_solve_exits_cleanly(self, tmp_path, capsys, monkeypatch):
         def failing_solve(*args, **kwargs):
@@ -332,6 +387,13 @@ class TestCli:
             args = _parser().parse_args(_normalize_argv(shlex.split(line)[1:]))
             seen.add(args.name)
         assert seen == set(COMMANDS)
+
+    def test_suite_rows_leave_defaults_to_the_suite(self):
+        # an option left out is None, which _run_suite skips, so the suite's own default holds
+        defaults = [flag for _, _, arguments, handler in COMMANDS.values()
+                    if isinstance(handler, str) for flag, kwargs in arguments
+                    if "default" in kwargs]
+        assert defaults == []
 
     def test_every_command_option_is_read(self):
         # a suite row passes the options whose dests name suite parameters and drops

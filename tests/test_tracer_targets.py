@@ -23,8 +23,6 @@ TEST_ROUTES = {
     "theta_shift.harness.suites.main_term_gate": "acceptance criterion 12",
     "theta_shift.modforms.residual.residual_constant_duplication":
         "second route for the main-term constant",
-    "theta_shift.specfun.whittaker.whittaker_ode_residual_probe":
-        "the Whittaker equation check by local re-integration",
     "theta_shift.specfun.gammafun.EULER_GAMMA": "reference value for digamma(1) and digamma(1/2)",
 }
 

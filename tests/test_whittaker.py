@@ -12,7 +12,6 @@ from theta_shift.specfun.whittaker import (
     whittaker_l2_norm,
     whittaker_lower_bound_check,
     whittaker_norm_closed_form,
-    whittaker_ode_residual_probe,
     whittaker_solution,
     whittaker_uniform_ratio,
     whittaker_uniform_ratio_grid,
@@ -163,9 +162,18 @@ class TestLowerBound:
 
 
 class TestOdeConsistency:
-    def test_local_reintegration_defect(self):
-        worst = whittaker_ode_residual_probe(1.25, 2j, 0.5, 8.0, n_points=100, seed=1)
-        assert worst <= 1e-6
+    @pytest.mark.parametrize("eta, t, ys", [
+        (1.25, 2.0, np.linspace(0.5, 8.0, 31)),
+        (-1.25, 5.0, np.linspace(10.0, 18.0, 9)[1:]),
+        (1.25, 20.0, np.linspace(40.0, 72.0, 9)[1:]),
+        (0.0, 1.0, np.linspace(2.0, 3.6, 9)[1:]),
+    ], ids=["t2-both-routes", "t5-above-2t", "t20-above-2t", "t1-above-2t"])
+    def test_grid_against_mpmath(self, eta, t, ys):
+        # the series below 2t, the ODE above it, where it serves every point
+        got = whittaker_W_grid(eta, 1j * t, ys)
+        with mp.workdps(40):
+            ref = np.array([float(mp.re(mp.whitw(eta, 1j * t, y))) for y in ys])
+        assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
     def test_real_output_on_grid(self):
         vals = whittaker_W_grid(1.25, 2j, np.linspace(0.5, 10.0, 40))
