@@ -163,7 +163,7 @@ def salie_bound_suite(pmax: int = 5000, seed: int = 13):
 
 def whittaker_norm_suite():
     """Squared-norm identity: quadrature against the digamma closed form."""
-    etas, ts, tol = (1.25, -1.25), (1.0, 2.0, 5.0, 10.0), 1e-6
+    etas, ts, tol = (1.25, -1.25), (1.0, 2.0, 5.0, 10.0), 1e-11
     rows = []
     worst = 0.0
     for eta in etas:

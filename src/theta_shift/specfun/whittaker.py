@@ -10,7 +10,7 @@ turning point) come from the convergent 1F1 series of DLMF 13.14.33 with
 Each point is certified by cond = 2 |pref| y^{1/2} e^{-y/2} max|term| / |W|,
 the cancellation the sum suffers; a point with cond above 1e3, or still
 unconverged after 1000 terms, goes to the ODE below with every other
-point (real mu, y > 2|t|).  The squared-integral functionals are ODE only.
+point (real mu, y > 2|t|).
 
 The ODE route integrates the Whittaker equation inward from asymptotic
 initial data.  Working with the scaled unknown v = W e^{y/2} y^{-eta}
@@ -23,8 +23,7 @@ parameters around t ~ 40 (where W itself sits near e^{-pi t / 2}):
 The start point is pushed out far enough that the asymptotic tail
 series reaches machine accuracy before its divergent stage; inward
 integration is stable because the contaminating solution decays in that
-direction.  One solve serves many targets, and the squared-integral
-functionals ride along as extra quadrature states.
+direction.  One solve serves many targets.
 
 The start y0 grows like 4 |mu|^2, far above where W turns (near 2 |mu|)
 and oscillates.  The solve runs in two legs split at
@@ -35,16 +34,14 @@ y_top being the largest target:
 
 * upper leg, y0 -> y_join: LSODA (stiff-capable) over the smooth
   stretch where an explicit method is held back by the equation's
-  unit-rate decaying mode.  The quadrature states are carried scaled,
-  Q_k = e^y S_k with S_k(y) = -int_y^inf u^{2 eta - k} e^{-u} v^2 du,
-  so Q_k' = Q_k + y^{2 eta - k} v^2, and the unit-rate fast mode of
-  Q_k decays inward;
+  unit-rate decaying mode;
 * lower leg, y_join -> y_end: DOP853 with dense output, where the
-  targets are, on S_k itself.
+  targets are.
 
-When y_join >= y0 the DOP853 leg alone runs from y0.  The states start
-on their slow solution in both cases, so the tail beyond y0 is in the
-state, not estimated.
+When y_join >= y0 the DOP853 leg alone runs from y0.
+
+The squared integrals int_a^inf W(u)^2 u^{-k} du are Gauss-Legendre
+quadrature over W values: series values below 2t, one ODE solve above.
 """
 
 from __future__ import annotations
@@ -56,10 +53,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ..quadrature import gl_panels
 from .gammafun import digamma, log_gamma
 
-_RTOL = 1e-12
-_RTOL_UPPER = 1e-13
+# Against 40-digit mpmath W(4.25, 0.25, 4) is off by 3.9e-12 (7.3e-12 at 1e-12
+# and 1e-13); LSODA at 1e-14 stops with "Unexpected istate".
+_RTOL = 3e-13
+_RTOL_UPPER = 3e-14
 # Four orders above the solver's atol = 1e-280, set by measurement against
 # 40-digit mpmath.  At eta = -20, mu in {150i, 200i, 250i}, every |v| >= 1e-276
 # kept W within 1.1e-9 of its local envelope; at mu = 250i the error grows
@@ -100,12 +100,9 @@ def _asymptotic_v(eta: float, mu2: float, y0: float):
 
 
 def _start_point(eta: float, mu2: float, y_max_target: float) -> float:
-    base = max(
-        40.0 + 2.0 * abs(eta) * math.log(max(y_max_target, math.e)),
-        4.0 * (abs(mu2) + eta * eta + 1.0),
-        1.1 * y_max_target + 10.0,
-    )
-    return base
+    return max(40.0 + 2.0 * abs(eta) * math.log(max(y_max_target, math.e)),
+               4.0 * (abs(mu2) + eta * eta + 1.0),
+               1.1 * y_max_target + 10.0)
 
 
 @dataclass
@@ -123,12 +120,9 @@ class WhittakerSolution:
         slack = 1e-9 * max(1.0, self.y_end)
         if np.any(ys < self.y_end - slack) or np.any(ys > self.dense_top):
             raise ValueError("target outside solved range")
-        vals = self._state(ys)[0]
-        return np.exp(-0.5 * ys + self.eta * np.log(ys)) * vals
-
-    def squared_integral(self, y: float, k: int) -> float:
-        """int_y^inf W(u)^2 du / u^k for k = 1 or 2."""
-        return float(-self._state(y)[1 + k])
+        v = self._state(ys)[0]
+        # one exponent, as y^eta alone can overflow where W does not
+        return np.sign(v) * np.exp(-0.5 * ys + self.eta * np.log(ys) + np.log(np.abs(v)))
 
     def _state(self, ys):
         """The dense state at ys; raises where v has sunk toward the solver's atol."""
@@ -140,30 +134,8 @@ class WhittakerSolution:
         return state
 
 
-def _rhs(eta: float, coeff: float, rate: float):
-    """Scaled equation plus the two quadrature states Q_k = e^{rate y} S_k
-    (k = 1, 2), so Q_k' = rate Q_k + e^{(rate - 1) y} y^{2 eta - k} v^2."""
-
-    def rhs(y, s):
-        v, dv, q1, q2 = s
-        log_f = (rate - 1.0) * y + 2.0 * eta * math.log(y)
-        try:
-            f = math.exp(log_f) * v * v
-        except OverflowError:   # y^{2 eta} beyond double range, while v^2 is tiny
-            f = math.exp(log_f + 2.0 * math.log(abs(v))) if v else 0.0
-        return (dv,
-                (1.0 - 2.0 * eta / y) * dv - coeff / (y * y) * v,
-                rate * q1 + f / y,
-                rate * q2 + f / (y * y))
-
-    return rhs
-
-
 def _leg(rhs, y_start: float, y_stop: float, state, **opts):
-    # where the squared integrals leave double range (real mu at tiny y) the
-    # states overflow and the step control fails, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (y_start, y_stop), state, **opts)
+    sol = solve_ivp(rhs, (y_start, y_stop), state, **opts)
     if not sol.success:
         raise RuntimeError(f"Whittaker integration failed: {sol.message}")
     return sol
@@ -172,26 +144,24 @@ def _leg(rhs, y_start: float, y_stop: float, state, **opts):
 @lru_cache(maxsize=256)
 def _solve_scaled(eta: float, mu2: float, y_end: float, y_top: float) -> WhittakerSolution:
     y0 = _start_point(eta, mu2, y_top)
-    start = _asymptotic_v(eta, mu2, y0)
-    while start is None:
+    state = _asymptotic_v(eta, mu2, y0)
+    while state is None:
         y0 *= 1.5
-        start = _asymptotic_v(eta, mu2, y0)
-    v0, dv0 = start
+        state = _asymptotic_v(eta, mu2, y0)
     coeff = (eta - 0.5) ** 2 - mu2
-    # Q_k on its slow solution: -f_k (1 + f_k'/f_k), f_k = y^{2 eta - k} v^2
-    state = [v0, dv0, *(-(y0 ** (2.0 * eta - k)) * v0 * v0
-                        * (1.0 + (2.0 * eta - k) / y0 + 2.0 * dv0 / v0) for k in (1, 2))]
+
+    def rhs(y, s):
+        v, dv = s
+        return dv, (1.0 - 2.0 * eta / y) * dv - coeff / (y * y) * v
+
     y_start = y0
     y_join = max(3.0 * math.sqrt(abs(mu2)), 1.1 * y_top + 10.0)
     if y_join < y0:
-        state = _leg(_rhs(eta, coeff, 1.0), y0, y_join, state, method="LSODA",
-                     rtol=_RTOL_UPPER, atol=1e-280, first_step=1e-3).y[:, -1]
+        state = _leg(rhs, y0, y_join, state, method="LSODA", rtol=_RTOL_UPPER, atol=1e-280,
+                     first_step=1e-3).y[:, -1]
         y_start = y_join
-    v, dv, q1, q2 = state
-    scale = math.exp(-y_start)
-    low = _leg(_rhs(eta, coeff, 0.0), y_start, y_end, [v, dv, q1 * scale, q2 * scale],
-               method="DOP853", rtol=_RTOL, atol=1e-280, dense_output=True,
-               first_step=y_start * 1e-3)
+    low = _leg(rhs, y_start, y_end, state, method="DOP853", rtol=_RTOL, atol=1e-280,
+               dense_output=True, first_step=y_start * 1e-3)
     return WhittakerSolution(eta, mu2, y_start, y_end, low.sol)
 
 
@@ -219,10 +189,11 @@ def whittaker_solution(eta: float, mu: complex, y_min: float, y_max: float) -> W
     return _solve_scaled(*_params(eta, mu), float(y_min), float(y_max))
 
 
-def _series(eta: float, t: float, ys: np.ndarray):
+def _series(eta: float, t: float, ys: np.ndarray, envelope: bool = False):
     """W_{eta,it}(ys), t > 0, by the 1F1 series (module docstring), each point
     stopped at a term below 1e-17 of its sum; and the mask of points it
-    certifies: converged within _SERIES_TERMS terms, cond <= _SERIES_COND."""
+    certifies: converged within _SERIES_TERMS terms, cond <= _SERIES_COND,
+    or with envelope, largest term <= _SERIES_COND times |sum|."""
     a, b = complex(0.5 - eta, t), complex(1.0, 2.0 * t)
     log_pref = log_gamma(complex(0.0, -2.0 * t)) - log_gamma(complex(0.5 - eta, -t))
     sums = np.ones(ys.size, dtype=np.complex128)
@@ -242,6 +213,8 @@ def _series(eta: float, t: float, ys: np.ndarray):
     sums[idx] = total
     log_outer = log_pref + complex(0.5, t) * np.log(ys) - 0.5 * ys
     ws = 2.0 * np.exp(log_outer + np.log(sums)).real
+    if envelope:
+        return ws, peaks <= _SERIES_COND * np.abs(sums)
     size = np.abs(ws)
     log_size = np.log(size, out=np.full(ys.size, -np.inf), where=size > 0)
     return ws, math.log(2.0) + log_outer.real + np.log(peaks) - log_size <= math.log(_SERIES_COND)
@@ -294,29 +267,48 @@ def whittaker_uniform_ratio_grid(eta: float, t: float, ys) -> np.ndarray:
     return np.abs(ws) / denom
 
 
+def _squared_integral(eta: float, t: float, a: float, k: int) -> float:
+    """int_a^inf W_{eta,it}(u)^2 u^{-k} du, 0 <= a < 2t, by 16-point panels.
+
+    Head: in log u over [max(a, 1e-30), 2t], 60 plus one per cycle of W ~
+    cos(t log u), on series values certified against |sum| (the envelope, not
+    |W|, so W's zeros pass); refused nodes go to the ODE.  Tail: 60 panels on
+    one ODE solve up to y_hi, where u^{2 eta} e^{-u} is far below the integral.
+    """
+    lo, top = max(a, 1e-30), 2.0 * t
+    y_hi = math.pi * t + 40.0 + 4.0 * abs(eta) * math.log(t + 2.0)
+    sol = whittaker_solution(eta, 1j * t, top, y_hi)
+
+    def head(s):
+        u = np.exp(s)
+        w, certified = _series(eta, t, u, envelope=True)
+        if not certified.all():
+            rest = u[~certified]
+            w[~certified] = whittaker_solution(eta, 1j * t, rest.min(), rest.max()).w_values(rest)
+        return w * w * u ** (1 - k)
+
+    n_head = 60 + math.ceil(t * math.log(top / lo) / (2.0 * math.pi))
+    return (gl_panels(head, np.linspace(math.log(lo), math.log(top), n_head + 1), 16)
+            + gl_panels(lambda u: sol.w_values(u) ** 2 * u ** -k,
+                        np.linspace(top, y_hi, 61), 16))
+
+
 def whittaker_lower_bound_check(eta: float, t: float, alpha: float) -> float:
     """(int_{alpha t}^inf W_{eta,it}(4 pi y)^2 dy / y^2) / (t^{2 eta - 1} e^{-pi t})."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if not 0 < alpha <= 3.0 / (8.0 * math.pi):
         raise ValueError("alpha must lie in (0, 3/(8 pi)]")
-    lower_u = 4.0 * math.pi * alpha * t  # u = 4 pi y
-    sol = whittaker_solution(eta, 1j * t, lower_u, lower_u)
-    # int_{alpha t}^inf W(4 pi y)^2 dy/y^2 = 4 pi int_{lower_u}^inf W(u)^2 du/u^2
-    integral = 4.0 * math.pi * sol.squared_integral(lower_u, 2)
+    # int_{alpha t}^inf W(4 pi y)^2 dy/y^2 = 4 pi int_{4 pi alpha t}^inf W(u)^2 du/u^2
+    integral = 4.0 * math.pi * _squared_integral(eta, t, 4.0 * math.pi * alpha * t, 2)
     return integral / math.exp((2.0 * eta - 1.0) * math.log(t) - math.pi * t)
 
 
 def whittaker_l2_norm(eta: float, t: float) -> float:
     """int_0^inf W_{eta,it}(u)^2 du/u (scale-invariant, so the 4 pi in the
-    usual normalization drops out).
-
-    The neglected piece below y_min = 3e-8 is bounded by sup(W^2/u) *
-    y_min ~ W(y_min)^2, a few parts in 1e7 of the total.
-    """
-    y_min = 3e-8
-    sol = whittaker_solution(eta, 1j * t, y_min, y_min)
-    return sol.squared_integral(y_min, 1)
+    usual normalization drops out), t > 0.  W^2/u is bounded near 0, so the
+    piece below 1e-30 is dropped."""
+    return _squared_integral(eta, t, 0.0, 1)
 
 
 def whittaker_norm_closed_form(eta: float, t: float) -> float:

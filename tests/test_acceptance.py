@@ -57,9 +57,9 @@ def test_criterion_04_whittaker_norm_identity():
     _, rows, lines, ok = suites.whittaker_norm_suite()
     elapsed = time.monotonic() - t0
     worst = max(r[4] for r in rows)
-    ok = ok and worst <= 1e-6
+    ok = ok and worst <= 1e-11
     _record(4, "squared-norm identity at eta = +-5/4, t in {1,2,5,10}",
-            ok, f"max rel err {worst:.2e} <= 1e-6", elapsed)
+            ok, f"max rel err {worst:.2e} <= 1e-11", elapsed)
 
 
 def test_criterion_05_uniform_ratio_stability():

@@ -606,17 +606,29 @@ class TestOutOfRangeInput:
         assert err.startswith("error: Whittaker W at eta=-20, y=3e-14 is below the solver floor")
         assert not any(tmp_path.iterdir())
 
-    def test_whittaker_squared_integral_overflow_exits(self, tmp_path, capsys):
-        # W = 2.5e232 here: the squared-integral states leave double range,
-        # where the right-hand side raised OverflowError before
+    def test_whittaker_real_mu_tiny_y_meets_floor_exits(self, tmp_path, capsys):
+        # W = 2.5e232 here and v = 2.5e-288, under the floor; the solve itself
+        # runs through (it used to stall on squared-integral states it carried)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["specfun", "whittaker", "--eta", "-20", "--mu", "10", "--y", "1e-26",
                        "--out", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr() == ("", "error: Whittaker integration failed: Required step "
-                                           "size is less than spacing between numbers.\n")
+        assert capsys.readouterr() == ("", "error: Whittaker W at eta=-20, y=1e-26 is below the "
+                                           "solver floor: |W e^(y/2) y^(-eta)| < 1e-276\n")
         assert not any(tmp_path.iterdir())
+
+    def test_whittaker_real_mu_tiny_y_value(self, tmp_path):
+        # W = 2.5e175 while y^eta alone overflows a double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["specfun", "whittaker", "--eta", "-20", "--mu", "10", "--y", "1e-20",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        got = float(read_csv(tmp_path / "specfun-whittaker.csv")[2][0][3])
+        with mp.workdps(40):
+            ref = float(mp.whitw(-20, 10, mp.mpf("1e-20")))
+        assert abs(got - ref) <= 1e-11 * abs(ref)
 
     @pytest.mark.parametrize("ymax", ["99999999999999999999999", "9999999999999999999",
                                       "1" + "0" * 309], ids=["1e23", "1e19", "1e309"])

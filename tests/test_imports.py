@@ -31,3 +31,11 @@ def test_light_module_leaves_ode_solver_unloaded(module):
                 "('scipy.integrate', 'theta_shift.specfun.whittaker') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_whittaker_leaves_mpmath_unloaded():
+    # mpmath is imported only inside the functions that call it, so loading the
+    # Whittaker module (as every spectral-map set-up does) must not pull it in
+    proc = _run("import sys, theta_shift.specfun.whittaker; print('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

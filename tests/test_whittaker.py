@@ -92,14 +92,60 @@ class TestNormIdentity:
     def test_quadrature_vs_closed_form(self, eta, t):
         q = whittaker_l2_norm(eta, t)
         cf = whittaker_norm_closed_form(eta, t)
-        assert q == pytest.approx(cf, rel=1e-6)
+        assert q == pytest.approx(cf, rel=1e-11)
 
     @pytest.mark.parametrize("eta", [1.25, -1.25])
     def test_quadrature_vs_closed_form_t40(self, eta):
-        # start near 4 t^2 = 6400, so most of the solve is the upper leg
+        # 60 + 468 head panels; the tail's solve starts near 4 t^2 = 6400
         q = whittaker_l2_norm(eta, 40.0)
         cf = whittaker_norm_closed_form(eta, 40.0)
-        assert q == pytest.approx(cf, rel=1e-6)
+        assert q == pytest.approx(cf, rel=1e-11)
+
+    @pytest.mark.parametrize("eta", [20.0, -20.0])
+    @pytest.mark.parametrize("t", [1.0, 20.0])
+    def test_quadrature_vs_closed_form_strong_eta(self, eta, t):
+        q = whittaker_l2_norm(eta, t)
+        assert q == pytest.approx(whittaker_norm_closed_form(eta, t), rel=1e-11)
+
+    @pytest.fixture
+    def head_refusals(self, monkeypatch):
+        """Head nodes the series refuses under its envelope rule, per call,
+        and the ODE solves requested, as (y_min, y_max)."""
+        refused, solves = [], []
+        series, solution = whittaker._series, whittaker.whittaker_solution
+
+        def series_spy(eta, t, ys, envelope=False):
+            ws, certified = series(eta, t, ys, envelope)
+            if envelope:
+                refused.append(ys[~certified])
+            return ws, certified
+
+        def solution_spy(eta, mu, y_min, y_max):
+            solves.append((y_min, y_max))
+            return solution(eta, mu, y_min, y_max)
+
+        monkeypatch.setattr(whittaker, "_series", series_spy)
+        monkeypatch.setattr(whittaker, "whittaker_solution", solution_spy)
+        return refused, solves
+
+    def test_refused_head_nodes_go_to_the_ode(self, head_refusals):
+        # near y = 4 = 2t the sum cancels by more than 1e3 against its largest term
+        refused, solves = head_refusals
+        q = whittaker_l2_norm(20.0, 2.0)
+        assert q == pytest.approx(whittaker_norm_closed_form(20.0, 2.0), rel=1e-11)
+        (nodes,) = refused
+        assert 0 < nodes.size < 10
+        assert (nodes.min(), nodes.max()) in solves
+
+    @pytest.mark.parametrize("eta", [1.25, -1.25])
+    def test_envelope_rule_certifies_every_head_node(self, head_refusals, eta):
+        # the pointwise rule would refuse nodes near the zeros of W
+        refused, solves = head_refusals
+        ts = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
+        for t in ts:
+            whittaker_l2_norm(eta, t)
+        assert len(refused) == 6 and all(nodes.size == 0 for nodes in refused)
+        assert [y_min for y_min, _ in solves] == [2.0 * t for t in ts]   # the tails alone
 
 
 class TestUniformRatio:
@@ -150,11 +196,24 @@ class TestLowerBound:
         assert big >= small
 
     def test_pinned_value(self):
-        # the value of one DOP853 leg from y0 = 3606, where the tail beyond y0
-        # (about e^{-3606}) is nil in doubles; the LSODA leg down to the join at
-        # 3t = 90 must reproduce it
+        # pinned from a quadrature state carried along the ODE; the series head
+        # over [15, 60] plus the ODE tail (LSODA from y0 = 3610 to the join at
+        # 177, DOP853 below) reproduce it to 1.4e-12
         v = whittaker_lower_bound_check(-1.25, 30.0, 1.0 / (8 * math.pi))
         assert v == pytest.approx(25.55578817564735, rel=1e-10)
+
+    @pytest.mark.parametrize("eta, t, ref", [
+        (1.25, 1.0, 30.960308178826921), (-1.25, 2.0, 19.438815315017428),
+        (-1.25, 5.0, 24.291861018232426)])
+    def test_against_mpmath_quadrature(self, eta, t, ref):
+        # ref: 20-digit mp.quad of 4 pi re(whitw)^2 / u^2 from t/2, recomputed here
+        with mp.workdps(20):
+            integral = mp.quad(lambda u: mp.re(mp.whitw(eta, 1j * t, u)) ** 2 / u ** 2,
+                               [mp.mpf(t) / 2, 2 * t, 4 * t + 20, mp.inf])
+            value = float(4 * mp.pi * integral / (mp.mpf(t) ** (2 * eta - 1) * mp.exp(-mp.pi * t)))
+        assert value == pytest.approx(ref, rel=1e-14)
+        assert whittaker_lower_bound_check(eta, t, 1.0 / (8 * math.pi)) == pytest.approx(
+            value, rel=1e-11)
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
