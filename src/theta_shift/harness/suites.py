@@ -263,8 +263,12 @@ def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
 
 
 def mellin_suite():
-    """Contour-integral route against direct quadrature, plus shift invariance."""
-    tol = 1e-6
+    """Contour-integral route against direct quadrature, plus shift invariance.
+
+    Tolerances sit near 100x the measured worst: contour vs direct 1.36e-11
+    at (1, 1, 2, 5, 2.0), shift invariance 5.12e-14 at the same point.
+    """
+    tol, shift_tol = 1e-9, 5e-12
     grid = [
         (1, 1, 2, 5, 1.0), (1, 1, 2, 5, 2.0), (3, -1, 2, 5, 1.0),
         (4, -2, 2, 5, 2.0), (2, 2, 4, 9, 1.0), (5, -2, 3, 9, 2.0),
@@ -285,8 +289,10 @@ def mellin_suite():
     return _report(["n1", "n2", "m", "k", "t", "contour", "direct", "rel_err", "shift_invariance"],
                    rows,
                    (worst <= tol, f"contour vs direct quadrature on {len(grid)} points "
-                    f"(both signs, k in {{5,9}}, t in {{1,2}}): worst rel {worst:.2e}"),
-                   (worst_shift <= tol, f"contour-shift invariance: worst rel {worst_shift:.2e}"))
+                    f"(both signs, k in {{5,9}}, t in {{1,2}}): worst rel {worst:.2e} "
+                    f"(tol {tol:g})"),
+                   (worst_shift <= shift_tol, f"contour-shift invariance: worst rel "
+                    f"{worst_shift:.2e} (tol {shift_tol:g})"))
 
 
 def bessel_bound_suite():
@@ -330,7 +336,8 @@ def theta_suite(seed: int = 5, trials: int = 100):
 
 
 def remark_suite(ks=(5, 9)):
-    """The explicit level-576 inner product against its closed form."""
+    """The explicit level-576 inner product against its closed form; the
+    tolerance sits 32x above the worst measured gap, 3.16e-12 at k = 5."""
     if not ks:
         raise ValueError("need at least one k")
     rows = []
@@ -342,8 +349,8 @@ def remark_suite(ks=(5, 9)):
         worst = max(worst, rel)
         rows.append((k, q, cf, rel))
     return _report(["k", "quadrature", "closed_form", "rel_err"], rows,
-                   (worst <= 1e-6, f"explicit inner-product value at k in {ks}: "
-                    f"worst rel err {worst:.2e} (tol 1e-06)"))
+                   (worst <= 1e-10, f"explicit inner-product value at k in {ks}: "
+                    f"worst rel err {worst:.2e} (tol 1e-10)"))
 
 
 def shifted_sum_experiment(f: CuspForm, h: int, x_lo_exp: int = 5, x_hi_exp: int = 12,

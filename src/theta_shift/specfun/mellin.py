@@ -11,6 +11,15 @@ the object is
 kappa = k - 1/2.  The contour form integrates gamma-factor ratios along
 a vertical line inside 0 < Re w < kappa/2 - |Im t|; the integrand decays
 like e^{-pi(|v| - |t|)} past |Im w| = |t|, which sets the truncation.
+
+The direct route takes W at its quadrature nodes from the Whittaker node
+evaluator under its envelope certificate: the 1F1 series wherever it
+certifies, one ODE solve over the rest.  At real t (mu = it) the ODE
+serves only the nodes above 2t.  At imaginary t (real mu) the series is
+tried at every node; at the level-576 inner product W is one terminating
+1F1 term (1/2 + mu - eta = -2, -4, -6 for k = 5, 9, 13), and the ODE
+serves only the nodes near its zeros, 0, 3 and 30 of 1600.  Certified
+real-mu values are within 2.7e-11 of 40-digit mpmath (whittaker module).
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 
 from ..quadrature import gl_panels
 from .gammafun import log_gamma_vec
-from .whittaker import whittaker_solution
+from .whittaker import _w_nodes
 
 # the contour is cut where the integrand's decay bound falls below this
 _ABS_TOL = 1e-10
@@ -94,10 +103,9 @@ def direct_G(n1: int, n2: int, m: int, k: int, t: complex) -> float:
     nu = k / 2.0 - 0.75
     y_hi = (65.0 + 8.0 * math.log1p(abs(eta) + abs(mu))) / decay
     y_lo = 1e-7
-    sol = whittaker_solution(eta, mu, a * y_lo, a * y_hi)
 
     def f(ys: np.ndarray) -> np.ndarray:
-        w = sol.w_values(a * ys)
+        w = _w_nodes(eta, mu, a * ys, envelope=True)
         return ys ** (nu - 1.0) * np.exp(-p * ys) * w
 
     # log-spaced panels near 0 (integrand ~ y^{nu - 1/2}), linear past 1/decay

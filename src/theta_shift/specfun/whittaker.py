@@ -1,18 +1,32 @@
 """Whittaker W function for real or purely imaginary second parameter.
 
-Two routes.  For imaginary mu = it, values at y <= 2|t| (below the
-turning point) come from the convergent 1F1 series of DLMF 13.14.33 with
-13.14.2, one complex term recurrence over all ys:
+Two routes.  The first is the convergent 1F1 series of DLMF 13.14.33 with
+13.14.2,
 
-    W = 2 Re[Gamma(-2it) / Gamma(1/2 - it - eta) e^{-y/2} y^{1/2 + it}
-             1F1(1/2 + it - eta; 1 + 2it; y)].
+    W = sum over +- of Gamma(-+2 mu) / Gamma(1/2 -+ mu - eta)
+            e^{-y/2} y^{1/2 +- mu} 1F1(1/2 +- mu - eta; 1 +- 2 mu; y),
 
-Each point is certified by cond = 2 |pref| y^{1/2} e^{-y/2} max|term| / |W|,
-the cancellation the sum suffers; a point with cond above 1e3, or still
-unconverged after 1000 terms, goes to the ODE below with every other
-point (real mu, y > 2|t|).
+one term recurrence per 1F1 over all ys.  For imaginary mu = it the two
+terms are complex conjugates, so W is twice the real part of one; it is
+tried at y <= 2|t|, below the turning point.  For real mu with 2 mu not
+an integer it is tried at every y; a term whose 1/Gamma sits at a pole is
+exactly 0, and when 1/2 + mu - eta is a nonpositive integer the other 1F1
+terminates (DLMF 13.18), as at the level-576 inner product.  Each point is
+certified by the cancellation the sum suffers,
 
-The ODE route integrates the Whittaker equation inward from asymptotic
+    cond = sum over terms of |coef pref| max(max|term|, |1F1|) / |W|,
+
+pref = e^{-y/2} y^{1/2 +- mu}.  A point with cond above 1e3, a 1F1 still
+unconverged after 1000 terms, or a non-finite W goes to the ODE below.
+
+One private node evaluator, `_w_nodes`, serves every caller: the series
+wherever it certifies, then one ODE solve over the refused points only.
+`whittaker_W_grid` certifies each point against |W|.  The integrals over W
+values (`_squared_integral`'s head, `mellin.direct_G`) certify against
+the envelope instead, the modulus of the complex sum (for real mu, |W|
+again), so nodes near W's oscillation zeros pass.
+
+The second route integrates the Whittaker equation inward from asymptotic
 initial data.  Working with the scaled unknown v = W e^{y/2} y^{-eta}
 keeps everything real and inside double range even at spectral
 parameters around t ~ 40 (where W itself sits near e^{-pi t / 2}):
@@ -41,7 +55,7 @@ y_top being the largest target:
 When y_join >= y0 the DOP853 leg alone runs from y0.
 
 The squared integrals int_a^inf W(u)^2 u^{-k} du are Gauss-Legendre
-quadrature over W values: series values below 2t, one ODE solve above.
+quadrature over W values: `_w_nodes` below 2t, one ODE solve above.
 """
 
 from __future__ import annotations
@@ -73,10 +87,14 @@ _V_FLOOR = 1e-276
 _ETA_MAX = 20.0
 _IMAG_MU_MAX = 250.0
 _REAL_MU_MAX = 30.0
-# Where the 1F1 series certifies a point.  Against 40-digit mpmath
-# at eta in {0, +-1.25, +-20}, t in {1, 40, 150, 250}, 1e-8 <= y <= 2t, every
-# point with cond <= 1e3 was within 4.1e-12 relative (6.3e-13 of the local
+# Where the 1F1 series certifies a point.  Against 40-digit mpmath at
+# imaginary mu: eta in {0, +-1.25, +-20}, t in {1, 40, 150, 250}, 1e-8 <= y <= 2t,
+# every point with cond <= 1e3 was within 4.1e-12 relative (6.3e-13 of the local
 # envelope); beyond it the error grows like cond * 1e-15 (4.5e-11 at cond 4e4).
+# At real mu: eta in {0, +-1.25, +-2.25, +-4.25, +-6.25, +-20}, 100 y log-spaced
+# over [1e-8, 60], every certified point was within 6.9e-12 relative for twelve mu
+# in [0.1, 3.3] and within 2.7e-11 for mu in {7.7, 12.6, 29.3}, where the
+# coefficients' rounding, |log coef| * 1e-16 (3.5e-14 at mu = 29.3), meets cond.
 _SERIES_TERMS = 1000
 _SERIES_COND = 1e3
 
@@ -189,35 +207,86 @@ def whittaker_solution(eta: float, mu: complex, y_min: float, y_max: float) -> W
     return _solve_scaled(*_params(eta, mu), float(y_min), float(y_max))
 
 
-def _series(eta: float, t: float, ys: np.ndarray, envelope: bool = False):
-    """W_{eta,it}(ys), t > 0, by the 1F1 series (module docstring), each point
-    stopped at a term below 1e-17 of its sum; and the mask of points it
-    certifies: converged within _SERIES_TERMS terms, cond <= _SERIES_COND,
-    or with envelope, largest term <= _SERIES_COND times |sum|."""
-    a, b = complex(0.5 - eta, t), complex(1.0, 2.0 * t)
-    log_pref = log_gamma(complex(0.0, -2.0 * t)) - log_gamma(complex(0.5 - eta, -t))
-    sums = np.ones(ys.size, dtype=np.complex128)
-    peaks = np.full(ys.size, np.inf)   # stays inf where the series runs out of terms
-    idx, y, term, total, peak = np.arange(ys.size), ys, sums, sums, np.ones(ys.size)
+def _at_pole(x: complex) -> bool:
+    """Whether Gamma has a pole at x, so that 1/Gamma(x) = 0."""
+    return x.imag == 0.0 and x.real <= 0.0 and x.real == int(x.real)
+
+
+def _kummer(a, b, ys: np.ndarray):
+    """1F1(a; b; ys) by its term recurrence, each point stopped at a term below
+    1e-17 of its sum; and each point's largest term, inf where the series is
+    still unconverged after _SERIES_TERMS terms.  For real a and b a point
+    stops only from k >= max(-a, -b, y) on: before, a factor a + k or b + k
+    near zero can make a term small that the next terms outgrow."""
+    sums = np.ones(ys.size, dtype=np.result_type(a, ys))
+    peaks = np.full(ys.size, np.inf)
+    k_min = np.zeros(ys.size) if isinstance(a, complex) else np.maximum(ys, max(-a, -b))
+    idx, y, k_min, term, total, peak = (np.arange(ys.size), ys, k_min, sums, sums,
+                                        np.ones(ys.size))
     for k in range(_SERIES_TERMS):
         term = term * ((a + k) / ((b + k) * (k + 1)) * y)
         total = total + term
         size = np.abs(term)
         peak = np.maximum(peak, size)
-        done = size < 1e-17 * np.abs(total)
+        done = (size < 1e-17 * np.abs(total)) & (k_min <= k)
         if done.any():
             sums[idx[done]], peaks[idx[done]] = total[done], peak[done]
-            idx, y, term, total, peak = (x[~done] for x in (idx, y, term, total, peak))
+            idx, y, k_min, term, total, peak = (x[~done] for x in (idx, y, k_min, term, total,
+                                                                    peak))
             if not idx.size:
                 break
     sums[idx] = total
-    log_outer = log_pref + complex(0.5, t) * np.log(ys) - 0.5 * ys
-    ws = 2.0 * np.exp(log_outer + np.log(sums)).real
-    if envelope:
-        return ws, peaks <= _SERIES_COND * np.abs(sums)
-    size = np.abs(ws)
-    log_size = np.log(size, out=np.full(ys.size, -np.inf), where=size > 0)
-    return ws, math.log(2.0) + log_outer.real + np.log(peaks) - log_size <= math.log(_SERIES_COND)
+    return sums, peaks
+
+
+def _series(eta: float, mu2: float, ys: np.ndarray, envelope: bool = False):
+    """W_{eta,mu}(ys), mu^2 = mu2, by the 1F1 series (module docstring), for
+    mu = it, t > 0, or real mu with 2 mu not an integer; and the mask of the
+    points it certifies: cond <= _SERIES_COND against |W|, or with envelope
+    against the modulus of the complex sum."""
+    if mu2 < 0:   # the two terms are conjugate: twice the real part of one
+        weight, mus = 2.0, (complex(0.0, math.sqrt(-mu2)),)
+    else:
+        weight, mus = 1.0, (math.sqrt(mu2), -math.sqrt(mu2))
+    total = np.zeros(ys.size, dtype=np.complex128)
+    log_bound = np.full(ys.size, -np.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for mu in mus:
+            if _at_pole(0.5 - mu - eta):
+                continue
+            sums, peaks = _kummer(0.5 + mu - eta, 1.0 + 2.0 * mu, ys)
+            log_outer = (log_gamma(-2.0 * mu) - log_gamma(0.5 - mu - eta)
+                         + (0.5 + mu) * np.log(ys) - 0.5 * ys)
+            z = weight * np.exp(log_outer + np.log(sums.astype(np.complex128)))
+            total = total + (z if mu2 < 0 else z.real)
+            scale = np.maximum(peaks, np.abs(sums))
+            log_bound = np.logaddexp(log_bound, math.log(weight) + log_outer.real + np.log(scale))
+        ws = total.real
+        log_ref = np.log(np.abs(total if envelope else ws))
+        return ws, np.isfinite(ws) & (log_bound - log_ref <= math.log(_SERIES_COND))
+
+
+def _w_nodes(eta: float, mu: complex, ys: np.ndarray, envelope: bool = False) -> np.ndarray:
+    """W_{eta,mu} over positive ys: the 1F1 series wherever it certifies
+    (against |W|, or with envelope against the modulus of the complex sum,
+    which passes the zeros of W's oscillation), then one ODE solve over the
+    refused points only.  The series is tried at y <= 2t for mu = it, and at
+    every y for real mu with 2 mu not an integer."""
+    eta, mu2 = _params(eta, mu)
+    if mu2 < 0:
+        tried = ys <= 2.0 * math.sqrt(-mu2)
+    else:
+        two_mu = 2.0 * math.sqrt(mu2)
+        tried = np.full(ys.size, two_mu != round(two_mu))
+    ws = np.empty_like(ys)
+    ode = ~tried
+    if tried.any():
+        ws[tried], certified = _series(eta, mu2, ys[tried], envelope)
+        ode[tried] = ~certified
+    if ode.any():
+        rest = ys[ode]
+        ws[ode] = whittaker_solution(eta, mu, rest.min(), rest.max()).w_values(rest)
+    return ws
 
 
 def whittaker_W(eta: float, mu: complex, y: float) -> float:
@@ -226,24 +295,14 @@ def whittaker_W(eta: float, mu: complex, y: float) -> float:
 
 
 def whittaker_W_grid(eta: float, mu: complex, ys) -> np.ndarray:
-    """W_{eta,mu} over positive ys.  For imaginary mu = it, a point y <= 2|t|
-    that the 1F1 series certifies is served by it; every other point by one
-    inward ODE solve over their range."""
+    """W_{eta,mu} over positive ys: each point the 1F1 series certifies
+    against |W| comes from it (imaginary mu = it at y <= 2|t|, real mu with
+    2 mu not an integer at any y); every other point from one inward ODE
+    solve over their range."""
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     if not np.all(ys > 0):   # nan too
         raise ValueError(f"argument must be positive, got y={ys[~(ys > 0)][0]}")
-    eta, mu2 = _params(eta, mu)
-    t = math.sqrt(-mu2) if mu2 < 0 else 0.0   # a real mu leaves no y below 2t
-    below = ys <= 2.0 * t
-    ws = np.empty_like(ys)
-    ode = ~below
-    if below.any():
-        ws[below], certified = _series(eta, t, ys[below])
-        ode[below] = ~certified
-    if ode.any():
-        rest = ys[ode]
-        ws[ode] = whittaker_solution(eta, mu, rest.min(), rest.max()).w_values(rest)
-    return ws
+    return _w_nodes(eta, mu, ys)
 
 
 def whittaker_uniform_ratio(eta: float, t: float, y: float) -> float:
@@ -271,8 +330,7 @@ def _squared_integral(eta: float, t: float, a: float, k: int) -> float:
     """int_a^inf W_{eta,it}(u)^2 u^{-k} du, 0 <= a < 2t, by 16-point panels.
 
     Head: in log u over [max(a, 1e-30), 2t], 60 plus one per cycle of W ~
-    cos(t log u), on series values certified against |sum| (the envelope, not
-    |W|, so W's zeros pass); refused nodes go to the ODE.  Tail: 60 panels on
+    cos(t log u), on _w_nodes under its envelope certificate.  Tail: 60 panels on
     one ODE solve up to y_hi, where u^{2 eta} e^{-u} is far below the integral.
     """
     lo, top = max(a, 1e-30), 2.0 * t
@@ -281,10 +339,7 @@ def _squared_integral(eta: float, t: float, a: float, k: int) -> float:
 
     def head(s):
         u = np.exp(s)
-        w, certified = _series(eta, t, u, envelope=True)
-        if not certified.all():
-            rest = u[~certified]
-            w[~certified] = whittaker_solution(eta, 1j * t, rest.min(), rest.max()).w_values(rest)
+        w = _w_nodes(eta, 1j * t, u, envelope=True)
         return w * w * u ** (1 - k)
 
     n_head = 60 + math.ceil(t * math.log(top / lo) / (2.0 * math.pi))

@@ -93,9 +93,9 @@ def test_criterion_08_contour_vs_direct():
     elapsed = time.monotonic() - t0
     worst = max(r[7] for r in rows)
     shift = max(r[8] for r in rows)
-    ok = ok and worst <= 1e-6 and shift <= 1e-6
+    ok = ok and worst <= 1e-9 and shift <= 5e-12
     _record(8, "triple-product integral: contour vs direct on 6 points",
-            ok, f"max rel {worst:.2e} <= 1e-6, shift invariance {shift:.2e}", elapsed)
+            ok, f"max rel {worst:.2e} <= 1e-9, shift invariance {shift:.2e} <= 5e-12", elapsed)
 
 
 def test_criterion_09_explicit_inner_product():
@@ -104,10 +104,10 @@ def test_criterion_09_explicit_inner_product():
     elapsed = time.monotonic() - t0
     k5 = next(r for r in rows if r[0] == 5)
     worst = max(r[3] for r in rows)
-    ok = ok and elapsed < 10.0 and worst <= 1e-6
+    ok = ok and elapsed < 10.0 and worst <= 1e-10
     ok = ok and abs(k5[2] + 3.0 / (64 * math.pi**2)) < 1e-12
     _record(9, "level-576 inner product equals -3/(64 pi^2) at k=5, also k=9",
-            ok, f"worst rel err {worst:.2e} <= 1e-6, "
+            ok, f"worst rel err {worst:.2e} <= 1e-10, "
                 f"runtime {elapsed:.1f}s < 10s", elapsed)
 
 

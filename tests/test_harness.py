@@ -317,8 +317,8 @@ class TestCli:
 
         whittaker._solve_scaled.cache_clear()  # a cached solve would not reach solve_ivp
         monkeypatch.setattr(whittaker, "solve_ivp", failing_solve)
-        # a real mu: at imaginary mu = 2i, y = 3 is served by the 1F1 series
-        rc = main(["specfun", "whittaker", "--eta", "1.25", "--mu", "0.25",
+        # 2 mu an integer: the 1F1 series serves neither it nor mu = 2i at y = 3
+        rc = main(["specfun", "whittaker", "--eta", "1.25", "--mu", "0.5",
                    "--y", "3.0", "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == (
@@ -629,6 +629,19 @@ class TestOutOfRangeInput:
         with mp.workdps(40):
             ref = float(mp.whitw(-20, 10, mp.mpf("1e-20")))
         assert abs(got - ref) <= 1e-11 * abs(ref)
+
+    def test_whittaker_real_mu_series_tiny_y_value(self, tmp_path):
+        # 2 mu = 1/2 is not an integer, so the terminating 1F1 term serves y = 1e-100,
+        # where the ODE stopped with "Required step size is less than spacing"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["specfun", "whittaker", "--eta", "2.25", "--mu", "0.25", "--y", "1e-100",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        got = float(read_csv(tmp_path / "specfun-whittaker.csv")[2][0][3])
+        with mp.workdps(40):
+            ref = float(mp.whitw(2.25, 0.25, mp.mpf("1e-100")))
+        assert abs(got - ref) <= 5e-12 * abs(ref)
 
     @pytest.mark.parametrize("ymax", ["99999999999999999999999", "9999999999999999999",
                                       "1" + "0" * 309], ids=["1e23", "1e19", "1e309"])

@@ -13,6 +13,7 @@ from theta_shift.modforms.residual import (
     sym2_residue_estimate,
 )
 from theta_shift.modforms.sums import fit_exponent, shifted_sum, shifted_sum_scan
+from theta_shift.specfun import whittaker
 
 
 class TestShiftedSum:
@@ -161,10 +162,19 @@ class TestRemarkValue:
         cf = remark_closed_form(5)
         assert cf == pytest.approx(-3.0 / (64 * math.pi**2), rel=1e-14)
         assert cf == pytest.approx(-4.7494e-3, rel=1e-4)
-        assert remark_inner_product(5) == pytest.approx(cf, rel=1e-6)
+        assert remark_inner_product(5) == pytest.approx(cf, rel=1e-10, abs=0)
 
     def test_k9_value(self):
-        assert remark_inner_product(9) == pytest.approx(remark_closed_form(9), rel=1e-6)
+        assert remark_inner_product(9) == pytest.approx(remark_closed_form(9), rel=1e-10, abs=0)
+
+    def test_k13_value(self):
+        assert remark_inner_product(13) == pytest.approx(remark_closed_form(13), rel=1e-10, abs=0)
+
+    def test_k5_solves_no_ode(self):
+        # W_{9/4,1/4} is one terminating 1F1 term, certified at every node
+        before = whittaker._solve_scaled.cache_info()
+        remark_inner_product(5)
+        assert whittaker._solve_scaled.cache_info() == before
 
     def test_sign_pattern(self):
         assert remark_closed_form(5) < 0    # sin(3 pi / 2) = -1

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import mpmath as mp
@@ -92,20 +93,20 @@ class TestNormIdentity:
     def test_quadrature_vs_closed_form(self, eta, t):
         q = whittaker_l2_norm(eta, t)
         cf = whittaker_norm_closed_form(eta, t)
-        assert q == pytest.approx(cf, rel=1e-11)
+        assert q == pytest.approx(cf, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("eta", [1.25, -1.25])
     def test_quadrature_vs_closed_form_t40(self, eta):
         # 60 + 468 head panels; the tail's solve starts near 4 t^2 = 6400
         q = whittaker_l2_norm(eta, 40.0)
         cf = whittaker_norm_closed_form(eta, 40.0)
-        assert q == pytest.approx(cf, rel=1e-11)
+        assert q == pytest.approx(cf, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("eta", [20.0, -20.0])
     @pytest.mark.parametrize("t", [1.0, 20.0])
     def test_quadrature_vs_closed_form_strong_eta(self, eta, t):
         q = whittaker_l2_norm(eta, t)
-        assert q == pytest.approx(whittaker_norm_closed_form(eta, t), rel=1e-11)
+        assert q == pytest.approx(whittaker_norm_closed_form(eta, t), rel=1e-11, abs=0)
 
     @pytest.fixture
     def head_refusals(self, monkeypatch):
@@ -114,8 +115,8 @@ class TestNormIdentity:
         refused, solves = [], []
         series, solution = whittaker._series, whittaker.whittaker_solution
 
-        def series_spy(eta, t, ys, envelope=False):
-            ws, certified = series(eta, t, ys, envelope)
+        def series_spy(eta, mu2, ys, envelope=False):
+            ws, certified = series(eta, mu2, ys, envelope)
             if envelope:
                 refused.append(ys[~certified])
             return ws, certified
@@ -132,7 +133,7 @@ class TestNormIdentity:
         # near y = 4 = 2t the sum cancels by more than 1e3 against its largest term
         refused, solves = head_refusals
         q = whittaker_l2_norm(20.0, 2.0)
-        assert q == pytest.approx(whittaker_norm_closed_form(20.0, 2.0), rel=1e-11)
+        assert q == pytest.approx(whittaker_norm_closed_form(20.0, 2.0), rel=1e-11, abs=0)
         (nodes,) = refused
         assert 0 < nodes.size < 10
         assert (nodes.min(), nodes.max()) in solves
@@ -266,7 +267,7 @@ class TestSeriesRoute:
             warnings.simplefilter("error")
             for i, t in enumerate(np.geomspace(1.0, 40.0, 12)):
                 ys = np.linspace(0.02, 1.5, 24) * t
-                series, certified = whittaker._series(eta, t, ys)
+                series, certified = whittaker._series(eta, -t * t, ys)
                 assert certified.all()
                 assert np.array_equal(whittaker_W_grid(eta, 1j * t, ys), series)
                 ode = whittaker_solution(eta, 1j * t, ys.min(), ys.max()).w_values(ys)
@@ -282,7 +283,7 @@ class TestSeriesRoute:
         ys = np.array(ys)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, certified = whittaker._series(eta, t, ys)
+            _, certified = whittaker._series(eta, -t * t, ys)
             got = whittaker_W_grid(eta, 1j * t, ys)
         assert not certified.any()
         assert np.array_equal(got, whittaker_solution(eta, 1j * t, ys.min(), ys.max()).w_values(ys))
@@ -293,5 +294,65 @@ class TestSeriesRoute:
     def test_points_above_twice_t_go_to_the_ode(self):
         ys = np.array([1.0, 3.0, 6.0])
         got = whittaker_W_grid(1.25, 2j, ys)
-        assert got[:2].tolist() == whittaker._series(1.25, 2.0, ys[:2])[0].tolist()
+        assert got[:2].tolist() == whittaker._series(1.25, -4.0, ys[:2])[0].tolist()
         assert got[2] == whittaker_solution(1.25, 2j, 6.0, 6.0).w_values(6.0)[0]
+
+
+class TestRealMuSeries:
+    """Real mu, 2 mu not an integer: the two-term 1F1 series at any y, against
+    40-digit mpmath; 2 mu an integer and refused points go to the ODE."""
+
+    ETAS = (0.0, 1.25, -1.25, 2.25, -2.25, 4.25, -4.25, 6.25, -6.25, 20.0, -20.0)
+
+    @pytest.mark.parametrize("eta, mu, y", [
+        (2.25, 0.25, 1e-100), (2.25, 0.25, 1e-40), (-2.25, 0.25, 1e-130)])
+    def test_tiny_y_in_milliseconds(self, eta, mu, y):
+        # the ODE stopped at its step size, missed by 1.2e-11, or ran past a minute
+        t0 = time.perf_counter()
+        got = whittaker_W(eta, mu, y)
+        elapsed = time.perf_counter() - t0
+        with mp.workdps(40):
+            ref = float(mp.whitw(eta, mu, y))
+        assert got == pytest.approx(ref, rel=5e-12)
+        assert elapsed < 0.1
+
+    @pytest.mark.parametrize("mu, bound", [(0.25, 1e-11), (0.3, 1e-11), (1.7, 1e-11),
+                                           (29.3, 3e-11)])
+    def test_certified_points_within_stated_bound(self, mu, bound):
+        ys = np.geomspace(1e-8, 60.0, 25)
+        n_certified = 0
+        for eta in self.ETAS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ws, certified = whittaker._series(eta, mu * mu, ys)
+            n_certified += certified.sum()
+            with mp.workdps(40):
+                ref = np.array([float(mp.whitw(eta, mu, y)) for y in ys[certified]])
+            assert np.all(np.abs(ws[certified] - ref) <= bound * np.abs(ref))
+        assert n_certified >= 0.8 * ys.size * len(self.ETAS)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 10.0, 5.0, 30.0])
+    def test_integer_two_mu_goes_to_the_ode(self, monkeypatch, mu):
+        def no_series(*args, **kwargs):
+            raise AssertionError("series tried at an integer 2 mu")
+
+        monkeypatch.setattr(whittaker, "_series", no_series)
+        ys = np.array([0.5, 2.0, 7.0])
+        got = whittaker_W_grid(1.25, mu, ys)
+        assert np.array_equal(got, whittaker_solution(1.25, mu, 0.5, 7.0).w_values(ys))
+
+    @pytest.mark.parametrize("eta, mu, y", [(-20.0, 29.3, 1e-300), (20.0, 29.3, 1e-300),
+                                            (0.0, 0.3, 800.0), (-6.25, 12.6, 1500.0)])
+    def test_overflow_refused_quietly(self, eta, mu, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, certified = whittaker._series(eta, mu * mu, np.array([y]))
+        assert not certified.any()
+
+    def test_refused_point_served_by_the_ode(self):
+        ys = np.array([1.0, 800.0])
+        got = whittaker_W_grid(0.0, 0.3, ys)
+        assert got[0] == whittaker._series(0.0, 0.09, ys[:1])[0][0]
+        assert got[1] == whittaker_solution(0.0, 0.3, 800.0, 800.0).w_values(800.0)[0]
+        with mp.workdps(40):
+            assert got[1] == pytest.approx(float(mp.whitw(0, 0.3, 800)), rel=1e-8)
