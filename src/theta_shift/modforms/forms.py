@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +36,9 @@ class CuspForm:
     coeffs: np.ndarray = field(repr=False)  # coeffs[n-1] = a(n)
     label: str = ""
     notes: tuple = ()
+    # (h, J) -> a(j^2 + h) for j = 0..J, serving `a_squares` to j^2 + h <= squares_max
+    squares: Callable[[int, int], np.ndarray] | None = field(default=None, repr=False)
+    squares_max: int = 0
 
     def __post_init__(self):
         if self.level % 4 != 0:
@@ -51,7 +55,8 @@ class CuspForm:
 
     @property
     def n_coeffs(self) -> int:
-        return len(self.coeffs)
+        """The largest n that `a_squares` reaches."""
+        return self.squares_max if self.squares else len(self.coeffs)
 
     def a(self, n):
         """a(n) at an int n, or at each n of an int array."""
@@ -62,6 +67,14 @@ class CuspForm:
                 f"a({bad}) unavailable: coefficients stored up to M={len(self.coeffs)}")
         return self.coeffs[n - 1]
 
+    def a_squares(self, h: int, J: int) -> np.ndarray:
+        """a(j^2 + h) for j = 0..J, with a(0) = 0: the one read of the shifted sums and
+        the symmetric square, from `squares` when the form has it, else from the table."""
+        if self.squares:
+            return self.squares(h, J)
+        n = np.arange(J + 1) ** 2 + h
+        return self.a(n) if h else np.concatenate(([0], self.a(n[1:])))
+
     def A(self, n):
         """Normalized coefficient a(n) / n^((k-1)/2), at an int or an int array."""
         e = (self.weight - 1) / 2.0
@@ -71,7 +84,7 @@ class CuspForm:
 
 def deligne_warnings(f: CuspForm) -> list:
     """Warn-level Deligne sanity |a(p)| <= 2 p^((k-1)/2) at primes p <= 20000."""
-    primes = primes_upto(min(f.n_coeffs, 20000))
+    primes = primes_upto(min(len(f.coeffs), 20000))
     if len(primes) == 0:
         return []
     vals = np.abs(f.a(primes))
@@ -161,7 +174,7 @@ def save_form(path, f: CuspForm) -> None:
                                               for v in map(complex, f.character.values)) + "\n")
         if f.label:
             fh.write(f"label={f.label}\n")
-        vals = f.a(np.arange(1, f.n_coeffs + 1))
+        vals = f.a(np.arange(1, len(f.coeffs) + 1))
         complex_coeffs = np.iscomplexobj(vals)
         for n, v in enumerate(vals, start=1):
             if complex_coeffs and v.imag:

@@ -93,7 +93,7 @@ def sym2_residue_estimate(f: CuspForm, Y_grid) -> tuple:
     if len(Y_grid) < 3:
         raise ValueError(f"need at least 3 distinct Y for the log-slope fit, got {len(Y_grid)}")
     ns = np.arange(1, top + 1)
-    terms = np.real(f.a(ns * ns)) / ns.astype(np.float64) ** f.weight
+    terms = np.real(f.a_squares(0, top)[1:]) / ns.astype(np.float64) ** f.weight
     P = np.cumsum(terms)
     pts = P[Y_grid - 1]
     logs = np.log(Y_grid.astype(np.float64))

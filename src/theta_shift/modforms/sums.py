@@ -40,7 +40,11 @@ def _partial_sums(f: CuspForm, h: int, n_max: int, one_sided: bool):
     accumulated left to right, so cum[j] is S after the terms n <= j."""
     ns = np.arange(1, n_max + 1)
     w = 1.0 if one_sided else 2.0
-    return ns, np.cumsum(np.concatenate(([f.A(h)], w * f.A(ns * ns + h))))
+    a = f.a_squares(h, n_max)
+    e = (f.weight - 1) / 2.0
+    # as f.A would normalize: Python's pow at the scalar n = h, numpy's on the array
+    A = a[1:] / (ns * ns + h).astype(np.float64) ** e
+    return ns, np.cumsum(np.concatenate(([a[0] / float(h) ** e], w * A)))
 
 
 def shifted_sum_scan(f: CuspForm, h: int, X_max: float, one_sided: bool = False):

@@ -17,6 +17,7 @@ from theta_shift.arith import (
     kronecker,
     kronecker_array,
     primes_upto,
+    sqrt_mod,
     trivial_character,
     unit_mask,
     unit_table,
@@ -351,3 +352,43 @@ def test_primes_upto():
     for n in (0, 1, 2, 3, 10, 97, 300):
         direct = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
         assert primes_upto(n).tolist() == direct
+
+
+class TestSqrtMod:
+    def test_every_class_mod_every_odd_prime_below_2_12(self):
+        ps = primes_upto(2**12)[1:]
+        p = np.repeat(ps, ps)
+        a = np.arange(p.size) - np.repeat(np.cumsum(ps) - ps, ps)   # 0..p-1 for each p
+        r = sqrt_mod(a, p)
+        squares = np.zeros(p.size, dtype=bool)
+        for start, q in zip(np.cumsum(ps) - ps, ps):
+            squares[start + np.arange(q) ** 2 % q] = True
+        # a root exactly at the squares, and a true one; -1 flags every non-square
+        assert np.array_equal(r >= 0, squares)
+        assert np.all(r[~squares] == -1)
+        ok = r >= 0
+        assert np.all((r[ok] * r[ok] - a[ok]) % p[ok] == 0)
+        assert np.all(2 * r <= p)
+
+    @pytest.mark.parametrize("p", [4294967291, 4294967279, 4294967231, 2**31 - 1])
+    def test_primes_near_2_32(self, p):
+        # the products of residues near 2^32 fill uint64: an overflow would give a wrong root
+        a = np.concatenate([np.random.default_rng(p).integers(0, p, 3000),
+                            [p - 1, p - 2, 1, 4, (p - 1) // 2]])
+        r = sqrt_mod(a, p)
+        for x, y in zip(a.tolist(), r.tolist()):
+            is_square = pow(x, (p - 1) // 2, p) == 1 or x == 0
+            assert (y >= 0) == is_square
+            if is_square:
+                assert y * y % p == x and 2 * y <= p
+
+    def test_zero_and_two(self):
+        assert sqrt_mod([0, 0, 0], [2, 3, 4294967291]).tolist() == [0, 0, 0]
+        assert sqrt_mod([0, 1, 2, 3, -1], 2).tolist() == [0, 1, 0, 1, 1]
+        assert sqrt_mod(-7, np.array([2, 7, 11, 13])).tolist() == [1, 0, 2, -1]
+        assert sqrt_mod(np.array([[4, 5], [9, 3]]), 7).tolist() == [[2, -1], [3, -1]]
+
+    @pytest.mark.parametrize("p", [0, 1, -3, 2**32, 2**32 + 15])
+    def test_modulus_out_of_range_rejected(self, p):
+        with pytest.raises(ValueError, match=r"prime moduli 2 <= p < 2\^32"):
+            sqrt_mod(1, p)

@@ -498,18 +498,24 @@ class TestCli:
          "shifted-sum", "34c61f3d8dbe34833b5699f07eb6f8c8f033436f2dd6ca1aa5fceec438096073"),
         (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "32", "--xmax", "4096"],
          "shifted-sum", "7fed2a125349549e6ccd728fd76c5492d8c337594b43e89d47f2fe4a7b97bd25"),
+        (["shifted-sum", "--form", "eta7", "--h", "7", "--xmin", "32", "--xmax", "65536"],
+         "shifted-sum", "12c5fe325355c358dec76c917501923353d9ad074cd81ab037f461ca824038de"),
+        (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "32", "--xmax", "65536"],
+         "shifted-sum", "0bd7e1a873776b420d3b3991a15576c454c316ac55a1037e1d1c2c5ffcd2aa71"),
         (["specfun", "whittaker", "--eta", "1.25", "--t", "2", "--y", "3.0", "--y", "1.0"],
          "specfun-whittaker", "2fd80dda210c74f547fcf032f57c18bf3efd5728043572094b1191f6cfb4b6e0"),
         (["oscillatory-map", "--n-omega", "2", "--n-T", "2"], "oscillatory-map",
          "26bcdeef27f1216e79983a638123eea9ee7475256eb2ccefe3b25e96bb5aa9f0"),
     ], ids=["expsum-sweep", "verify-mult", "salie-bounds", "shifted-sum",
-            "shifted-sum-h7-4096", "shifted-sum-h1-4096", "specfun-whittaker",
-            "oscillatory-map"])
+            "shifted-sum-h7-4096", "shifted-sum-h1-4096", "shifted-sum-h7-65536",
+            "shifted-sum-h1-65536", "specfun-whittaker", "oscillatory-map"])
     def test_expsum_artifacts_unchanged(self, tmp_path, argv, name, digest):
         # SHA-256 of CSVs recorded before a rewrite of the code that computes
         # them (numpy 2.4, x86-64): the per-element table loops (expsums), the
         # per-term shifted-sum loop, the scalar Whittaker point path and the
-        # per-panel Gauss-Legendre loops (oscillatory kernel).  salie-bounds was
+        # per-panel Gauss-Legendre loops (oscillatory kernel); the X = 65536 rows
+        # by the per-n square scan that a(j^2 + h) took before the sieve, at the
+        # top of its n <= 2^32 range.  salie-bounds was
         # re-recorded for the batch transform and the tie-free row filter: every
         # row kept matched the per-pair gather's CSV to 1.3e-15 relative
         assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -520,6 +526,12 @@ class TestCli:
         assert main(["sym2", "--form", "eta7", "--ymax", "4000", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out == (
             "symmetric-square residue estimate: 0.859725 (fit quality 0.0182)\n")
+
+    def test_sym2_estimate_at_the_range_edge(self, tmp_path, capsys):
+        # printed by the per-n square scan before the sieve: a(n^2) to n = 2^16
+        assert main(["sym2", "--form", "eta7", "--ymax", "65536", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            "symmetric-square residue estimate: 0.860617 (fit quality 0.0227)\n")
 
     def test_eta7_shifted_sum_memory_bound(self, tmp_path):
         # reads 4097 coefficients; the dense table to X = 4096 took 256 MB

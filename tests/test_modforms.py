@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from theta_shift.arith import char_from_kronecker, char_from_table, trivial_character
+from theta_shift.arith import (
+    char_from_kronecker,
+    char_from_table,
+    kronecker_array,
+    primes_upto,
+    trivial_character,
+)
 from theta_shift.modforms import eta
 from theta_shift.modforms.eta import (
     eta7_cusp_form,
     eta7_cusp_form_on_demand,
-    eta_cubed_pair_at,
     eta_cubed_pair_coeffs,
+    eta_cubed_pair_squares,
 )
 from theta_shift.modforms.forms import CuspForm, load_form, r1, save_form
 from theta_shift.modforms.residual import sym2_residue_estimate
@@ -54,39 +60,77 @@ class TestEtaCoefficients:
             assert c[p - 1] == 0
 
 
+def _lattice_count(n: int) -> int:
+    """a(n) = 1/2 sum of alpha^2 over alpha = (u + w sqrt(-7))/2 of norm n: the real parts
+    (u^2 - 7w^2)/4 over u = w (mod 2), u^2 + 7w^2 = 4n, summed exactly."""
+    w = np.arange(-math.isqrt(4 * n // 7), math.isqrt(4 * n // 7) + 1, dtype=np.int64)
+    u2 = 4 * n - 7 * w * w
+    u = np.sqrt(u2.astype(np.float64)).round().astype(np.int64)
+    hit = (u * u == u2) & ((u - w) % 2 == 0)
+    total = int(np.sum(np.where(u[hit] > 0, 2, 1) * (u2[hit] - 7 * w[hit] ** 2)))   # +-u
+    assert total % 8 == 0
+    return total // 8
+
+
 class TestEtaOnDemand:
-    """eta_cubed_pair_at against the dense table, entry by entry and through
-    the sums the CLI computes from it."""
+    """The sieve a(j^2 + h) against the dense table and an in-test lattice count,
+    and the sieve-backed form through the sums the CLI computes from it."""
 
     @pytest.mark.parametrize("which", ["n^2+h", "n^2", "all", "random"])
     def test_equals_dense_table(self, eta7_big, which):
-        n = np.arange(1, 4097)
-        ns = {"n^2+h": np.concatenate([n * n + h for h in range(1, 8)]),
-              "n^2": n[:4000] ** 2,
-              "all": np.arange(1, 20001),
-              "random": np.random.default_rng(71).integers(1, 16_900_001, size=2000)}[which]
-        assert np.array_equal(eta_cubed_pair_at(ns), eta7_big.coeffs[ns - 1])
+        # the table's own a_squares is the reference: a(4096^2 + 120000) is in eta7_big
+        hs = {"n^2+h": (1, 2, 3, 5, 7, 28), "n^2": (0,), "all": (),
+              "random": np.random.default_rng(71).integers(8, 120_000, size=6).tolist()}[which]
+        for h in hs:
+            assert np.array_equal(eta_cubed_pair_squares(h, 4096), eta7_big.a_squares(h, 4096)), h
+        if which == "all":   # the sieve form's arbitrary reads: its dense table
+            n = np.arange(1, 20_001)
+            assert np.array_equal(eta7_cusp_form_on_demand().a(n), eta7_big.a(n))
 
-    def test_small_passes_equal_dense_table(self, eta7_big, monkeypatch):
-        # 50 cells per pass: a few n per block at small n, one n per block beyond
-        monkeypatch.setattr(eta, "_CELLS", 50)
-        ns = np.concatenate([np.arange(1, 3001),
-                             np.random.default_rng(72).integers(1, 16_900_001, size=200)])
-        assert np.array_equal(eta_cubed_pair_at(ns), eta7_big.coeffs[ns - 1])
+    def test_small_passes_equal_dense_table(self, eta7_small):
+        # a handful of primes or none: the cofactor left can be 2 or 7
+        for J in (*range(8), 40):
+            for h in range(61):
+                assert np.array_equal(eta_cubed_pair_squares(h, J), eta7_small.a_squares(h, J)), \
+                    (J, h)
+
+    def test_a_p_equals_dense_table(self):
+        ps = primes_upto(10**5)
+        assert np.array_equal(eta._a_prime(ps), eta_cubed_pair_coeffs(10**5)[ps - 1])
+
+    def test_hecke_recurrence_at_p2_and_p3(self):
+        ps = primes_upto(65535)
+        ap = eta._a_prime(ps)
+        chi = kronecker_array(-7, ps)
+        a_p2 = eta_cubed_pair_squares(0, 65535)[ps]
+        assert np.array_equal(a_p2, ap * ap - chi * ps * ps)
+        for p, a1, a2, c in zip(ps[:60].tolist(), ap.tolist(), a_p2.tolist(), chi.tolist()):
+            assert eta_cubed_pair_squares(p**3, 0)[0] == a1 * a2 - c * p * p * a1, p
+
+    @pytest.mark.parametrize("h", [1, 7])
+    def test_lattice_count_at_random_j(self, h):
+        js = np.random.default_rng(73 + h).integers(1, 65536, size=50)
+        vals = eta_cubed_pair_squares(h, 65535)[js]
+        assert vals.tolist() == [_lattice_count(int(j) ** 2 + h) for j in js]
 
     def test_memory_bounded_at_large_n(self):
-        # 35,032 values of b per n: a 256-row pass would hold 72 MB per temporary
+        # J = 65535 reaches n = 2^32 - 131070 + h: every temporary is O(J) or O(hits),
+        # ~1.7e5 hits at h = 7, 21 MB at the peak
         tracemalloc.start()
         try:
-            eta_cubed_pair_at(np.arange(2**32 - 255, 2**32 + 1))
+            eta_cubed_pair_squares(7, 65535)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 32 * 2**20
 
     def test_keeps_shape_and_repeats(self):
-        assert eta_cubed_pair_at(2) == -3
-        assert eta_cubed_pair_at(np.array([[7, 2], [2, 1]])).tolist() == [[-7, -3], [-3, 1]]
+        assert eta_cubed_pair_squares(0, 0).tolist() == [0]   # a(0): no constant term
+        assert eta_cubed_pair_squares(2, 0).tolist() == [-3]
+        assert eta_cubed_pair_squares(0, 3).tolist() == [0, 1, 5, 9]
+        out = eta_cubed_pair_squares(7, 100)
+        assert out.shape == (101,) and out.dtype == np.int64
+        assert np.array_equal(out, eta_cubed_pair_squares(7, 100))
 
     @pytest.mark.parametrize("h", [1, 7])
     def test_shifted_sums_equal_dense(self, eta7_big, h):
@@ -106,18 +150,20 @@ class TestEtaOnDemand:
         assert f.a(7) == -7 and f.A(2) == eta7_small.A(2)
         ns = np.array([[7, 2], [2, 1]])
         assert np.array_equal(f.A(ns), eta7_small.A(ns))
-        for n in (0, f.n_coeffs + 1, np.array([3, f.n_coeffs + 1])):
+        for n in (0, 20_001, f.n_coeffs + 1, np.array([3, f.n_coeffs + 1])):
             with pytest.raises(IndexError):
                 f.a(n)
 
-    @pytest.mark.parametrize("n", [0, -4])
-    def test_n_below_one_rejected(self, n):
-        with pytest.raises(ValueError, match=f"n >= 1, got n = {n}"):
-            eta_cubed_pair_at(np.array([5, n]))
+    @pytest.mark.parametrize("h, J", [(-1, 5), (-4, 0), (3, -1)])
+    def test_negative_arguments_rejected(self, h, J):
+        with pytest.raises(ValueError, match=f"h >= 0 and J >= 0, got h = {h}, J = {J}"):
+            eta_cubed_pair_squares(h, J)
 
     def test_beyond_exact_square_test_rejected(self):
-        with pytest.raises(ValueError, match=r"n <= 2\^32, got n = 4294967297"):
-            eta_cubed_pair_at(np.array([3, 2**32 + 1]))
+        # the moduli of sqrt_mod and Cornacchia stay below 2^32
+        eta_cubed_pair_squares(2**32 - 65535**2, 65535)
+        with pytest.raises(ValueError, match=r"j\^2 \+ h <= 2\^32, got 4294967297"):
+            eta_cubed_pair_squares(1, 65536)
 
     def test_on_demand_work_budget(self):
         f = eta7_cusp_form_on_demand()
