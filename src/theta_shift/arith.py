@@ -318,13 +318,39 @@ def _pow_mod(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cipolla(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """A square root of each square A mod the odd prime P (uint64, A < P < 2^32).
+
+    For t with w = t^2 - A a non-square (Euler's criterion), the root is
+    (t + sqrt(w))^((P+1)/2) in F_P[sqrt(w)].  Every product is of two
+    residues < 2^32, so uint64 holds it exactly.
+    """
+    t, w = np.zeros_like(A), np.zeros_like(A)
+    pending = np.arange(A.size)
+    s = np.uint64(1)
+    while pending.size:   # about two tries per modulus
+        cand = (s * s % P[pending] + P[pending] - A[pending]) % P[pending]
+        found = _pow_mod(cand, (P[pending] - 1) // 2, P[pending]) == P[pending] - 1
+        t[pending[found]], w[pending[found]] = s, cand[found]
+        pending = pending[~found]
+        s += np.uint64(1)
+    # (x + y sqrt(w))^e by square-and-multiply in F_P[sqrt(w)]
+    x, y, rx, ry, e = t, np.ones_like(A), np.ones_like(A), np.zeros_like(A), (P + 1) // 2
+    while e.any():
+        odd = e & 1 == 1
+        rx, ry = (np.where(odd, (rx * x % P + ry * y % P * w % P) % P, rx),
+                  np.where(odd, (rx * y % P + ry * x % P) % P, ry))
+        x, y = (x * x % P + y * y % P * w % P) % P, 2 * x % P * y % P
+        e >>= 1
+    return rx
+
+
 def sqrt_mod(a, p) -> np.ndarray:
     """A square root r of a mod p, 0 <= r <= p/2, elementwise over the prime moduli
     p < 2^32; -1 where a is not a square mod p.
 
-    Cipolla's algorithm: for t with w = t^2 - a a non-square (Euler's
-    criterion), r = (t + sqrt(w))^((p+1)/2) in F_p[sqrt(w)].  Every product
-    is of two residues < 2^32, so uint64 holds it exactly.
+    p = 3 (mod 4) takes r = a^((p+1)/4) directly; only p = 1 (mod 4) runs
+    the non-residue search of Cipolla's algorithm (`_cipolla`).
     """
     a, p = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(p, dtype=np.int64))
     if p.size and (p.min() < 2 or p.max() >= 2**32):
@@ -334,24 +360,11 @@ def sqrt_mod(a, p) -> np.ndarray:
     root = np.where((P == 2) | (A == 0), A.astype(np.int64), -1)
     todo = np.flatnonzero((root < 0) & (_pow_mod(A, (P - 1) // 2, P) == 1))
     A, P = A[todo], P[todo]
-    t, w = np.zeros_like(A), np.zeros_like(A)
-    pending = np.arange(todo.size)
-    s = np.uint64(1)
-    while pending.size:   # about two tries per modulus
-        cand = (s * s % P[pending] + P[pending] - A[pending]) % P[pending]
-        found = _pow_mod(cand, (P[pending] - 1) // 2, P[pending]) == P[pending] - 1
-        t[pending[found]], w[pending[found]] = s, cand[found]
-        pending = pending[~found]
-        s += np.uint64(1)
-    # (x + y sqrt(w))^e by square-and-multiply in F_p[sqrt(w)]
-    x, y, rx, ry, e = t, np.ones_like(A), np.ones_like(A), np.zeros_like(A), (P + 1) // 2
-    while e.any():
-        odd = e & 1 == 1
-        rx, ry = (np.where(odd, (rx * x % P + ry * y % P * w % P) % P, rx),
-                  np.where(odd, (rx * y % P + ry * x % P) % P, ry))
-        x, y = (x * x % P + y * y % P * w % P) % P, 2 * x % P * y % P
-        e >>= 1
-    root[todo] = np.minimum(rx, P - rx).astype(np.int64)
+    r = np.empty_like(A)
+    easy = P % 4 == 3
+    r[easy] = _pow_mod(A[easy], (P[easy] + 1) // 4, P[easy])
+    r[~easy] = _cipolla(A[~easy], P[~easy])
+    root[todo] = np.minimum(r, P - r).astype(np.int64)
     return root.reshape(a.shape)
 
 

@@ -258,8 +258,8 @@ def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
                     f"|G|/omega^(1/2) = {sups_large[1]:.4f}, doubled-grid drift {drift_l:.2%}"),
                    (drift_s < 0.10, f"same, omega <= 1 with omega(1+|log omega|): "
                     f"sup = {sups_small[1]:.4f}, drift {drift_s:.2%}"),
-                   (worst_dual <= 1e-4, f"dual-route agreement on {len(spots)} spots: "
-                    f"worst rel {worst_dual:.2e} (tol 1e-04)"))
+                   (worst_dual <= 5e-9, f"dual-route agreement on {len(spots)} spots: "
+                    f"worst rel {worst_dual:.2e} (tol 5e-09)"))
 
 
 def mellin_suite():

@@ -1,20 +1,21 @@
 """J-Bessel function of purely imaginary order 2it.
 
-One array function over q: the ascending power series up to q = 14 and
-the large-argument (Hankel) expansion above, each run in numpy on the
-q it serves, which together cover the kernel integrals.  Two well-known
-numerical potholes are patched rather than ignored:
+One array function over q, served by three numpy routes, each run on
+the q it serves:
 
-* the alternating series loses ~q/2.3 digits to cancellation, so it is
-  summed in doubles only up to q = 14;
-* the Hankel expansion needs q large compared to the order squared, so
-  it is used only where 12 t^2 <= q; for q > 14 with 12 t^2 > q the
-  evaluation goes to mpmath at boosted precision, one q at a time, up to
-  q = 2000 (0.9 q digits: about 1 s at q = 1000, 5 s at q = 2000).
+* the ascending power series up to q = 14; it loses ~q/2.3 digits to
+  cancellation, so it stops there;
+* the large-argument (Hankel) expansion where 12 t^2 <= q, which needs q
+  large compared to the order squared.  At the edge 12 t^2 = q, q just
+  above 14, its optimal truncation leaves a few 1e-11 relative error,
+  and a truncation that cannot meet the 1e-8 target raises;
+* Miller's backward recurrence on the band 14 < q < 12 t^2 for
+  |t| <= 6.  Against 40-digit mpmath it is within 3e-14 relative at
+  |t| <= 3, 3e-13 at t = 4, 5e-12 at t = 5 and 8e-11 at t = 6.
 
-At the edge 12 t^2 = q, q just above 14, the Hankel expansion's optimal
-truncation leaves a few 1e-11 relative error; everything stays within
-the 1e-8 relative target, and a truncation that cannot meet it raises.
+mpmath at boosted precision (0.9 q digits, one q at a time) serves only
+the band at |t| > 6, up to q = 2000 (about 1 s at q = 1000, 5 s at
+q = 2000).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .gammafun import log_gamma
 
 _SERIES_FAST_MAX = 14.0
 _HANKEL_MIN_Q_OVER_T2 = 12.0
+_MILLER_MAX_T = 6.0
 _BOOSTED_MAX_Q = 2000.0
 _TARGET = 1e-8
 
@@ -54,8 +56,54 @@ def _series_double(t: float, q: np.ndarray) -> np.ndarray:
     return total
 
 
+def _miller(t: float, q: np.ndarray) -> np.ndarray:
+    """J_nu(q), nu = 2it, by Miller's backward recurrence (Gautschi 1967).
+
+    From f_N = 1, f_(N+1) = 0 at each element's own start N(q) = q +
+    10 q^(1/3) + 30, rounded up to even, the recurrence
+    f_(k-1) = (2 (nu + k) / q) f_k - f_(k+1) runs down to f_0, which is
+    proportional to J_nu(q).  DLMF 10.23.15 divided by Gamma(nu + 1),
+    (q/2)^nu / Gamma(nu + 1) = sum_m w_m J_(nu+2m)(q) with w_0 = 1 and
+    w_m = (nu + 2m) Gamma(nu + m) / (m! Gamma(nu + 1)), fixes the scale
+    without the pole of Gamma(nu) at t = 0.  Elements are sorted by q, so
+    the ones started by level k are a prefix.
+    """
+    nu = 2j * t
+    order = np.argsort(-q, kind="stable")
+    qs = q[order]
+    start = np.ceil(qs + 10.0 * np.cbrt(qs) + 30.0).astype(np.int64)
+    start += start % 2
+    top = int(start[0])
+    # live[k] elements have started at level k
+    live = np.searchsorted(-start, -np.arange(top + 2), side="right").tolist()
+    # w_m / (nu + 2m) = prod_(j<m) (nu + j) / m!, the factor nu of j = 0 left out
+    m = np.arange(1, top // 2 + 1)
+    ratio = (nu + m - 1.0) / m
+    ratio[0] = 1.0
+    w = np.concatenate([[1.0], (nu + 2.0 * m) * np.cumprod(ratio)])
+    two_over_q = 2.0 / qs
+    f = np.zeros(qs.size, dtype=np.complex128)       # f_k
+    f_up = np.zeros(qs.size, dtype=np.complex128)    # f_(k+1)
+    s = np.zeros(qs.size, dtype=np.complex128)
+    for k in range(top, 0, -1):
+        n = live[k]
+        f[live[k + 1]:n] = 1.0
+        if k % 2 == 0:
+            s[:n] += w[k // 2] * f[:n]
+            if k % 16 == 0:   # rescale against overflow, each element on its own
+                big = np.abs(f[:n]) > 1e100
+                for a in (f, f_up, s):
+                    a[:n][big] *= 1e-100
+        f_up[:n] = (nu + k) * two_over_q[:n] * f[:n] - f_up[:n]
+        f, f_up = f_up, f
+    s += f
+    out = np.empty_like(f)
+    out[order] = f / s * np.exp(nu * np.log(qs / 2.0) - log_gamma(nu + 1.0))
+    return out
+
+
 def _series_boosted(t: float, q: float) -> complex:
-    """mpmath at boosted precision, where neither double route is accurate."""
+    """mpmath at boosted precision, for the band beyond Miller's |t| <= 6."""
     import mpmath as mp
 
     digits_lost = int(q * 0.9) + 6
@@ -121,8 +169,8 @@ def bessel_J_imag_order(t: float, q):
     out = np.empty(flat.shape, dtype=np.complex128)
     series = flat <= _SERIES_FAST_MAX
     hankel = ~series & (_HANKEL_MIN_Q_OVER_T2 * t * t <= flat)
-    boosted = ~(series | hankel)
-    beyond = boosted & (flat > _BOOSTED_MAX_Q)
+    band = ~(series | hankel)
+    beyond = band & (flat > _BOOSTED_MAX_Q)
     if beyond.any():
         raise ValueError(f"J_(2it) at t={t:g}, q={flat[beyond][0]:g} needs mpmath beyond "
                          f"its limit q <= {_BOOSTED_MAX_Q:g} (for q < 12 t^2)")
@@ -130,8 +178,12 @@ def bessel_J_imag_order(t: float, q):
         out[series] = _series_double(t, flat[series])
     if hankel.any():
         out[hankel] = _hankel(t, flat[hankel])
-    for i in np.flatnonzero(boosted):
-        out[i] = _series_boosted(t, float(flat[i]))
+    if abs(t) <= _MILLER_MAX_T:
+        if band.any():
+            out[band] = _miller(t, flat[band])
+    else:
+        for i in np.flatnonzero(band):
+            out[i] = _series_boosted(t, float(flat[i]))
     overflow = ~np.isfinite(out)
     if overflow.any():
         raise RuntimeError(f"J_(2it) at t={t:g}, q={flat[overflow][0]:g} leaves double range")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta_shift.arith import (
+    _cipolla,
     DirichletCharacter,
     char_factor,
     char_from_kronecker,
@@ -381,6 +382,25 @@ class TestSqrtMod:
             assert (y >= 0) == is_square
             if is_square:
                 assert y * y % p == x and 2 * y <= p
+
+    def test_three_mod_four_equals_cipolla(self):
+        # p = 3 (mod 4) takes a^((p+1)/4); Cipolla's root, normalized, must equal it
+        # at every class of every such prime below 2^12, and at 4294967291
+        ps = [q for q in primes_upto(2**12).tolist() if q % 4 == 3]
+        big = 4294967291
+        a_big = np.random.default_rng(5).integers(0, big, 3000)
+        p = np.concatenate([np.repeat(ps, ps), np.full(a_big.size, big)])
+        a = np.concatenate([np.arange(q) for q in ps] + [a_big])
+        r = sqrt_mod(a, p)
+        # non-residues still read -1: squares by tabulation below 2^12, Euler at big
+        square = np.concatenate([np.isin(np.arange(q), np.arange(q) ** 2 % q) for q in ps]
+                                + [[pow(int(x), (big - 1) // 2, big) <= 1 for x in a_big]])
+        assert np.array_equal(r >= 0, square)
+        assert np.all(r[~square] == -1)
+        sq = r > 0
+        A, P = a[sq].astype(np.uint64), p[sq].astype(np.uint64)
+        c = _cipolla(A, P)
+        assert np.array_equal(r[sq], np.minimum(c, P - c).astype(np.int64))
 
     def test_zero_and_two(self):
         assert sqrt_mod([0, 0, 0], [2, 3, 4294967291]).tolist() == [0, 0, 0]

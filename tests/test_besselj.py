@@ -49,6 +49,8 @@ class TestBesselJ:
             assert got.dtype == np.complex128
 
     def test_mpmath_only_between_series_and_hankel(self, monkeypatch):
+        # Miller's recurrence serves the band 14 < q < 12 t^2 up to |t| = 6;
+        # mpmath only the band beyond it
         seen = []
         real_besselj = mp.besselj
 
@@ -58,12 +60,39 @@ class TestBesselJ:
 
         monkeypatch.setattr(mp, "besselj", spy)
         expected = []
-        for t in (0.2, 1.0, 1.5, 4.0):
+        for t in (0.2, 1.0, 1.5, 4.0, 6.0, -6.0, 6.5, -7.0):
             q = np.concatenate([np.linspace(0.5, 14.0, 9), np.geomspace(14.001, 300.0, 25)])
             bessel_J_imag_order(t, q)
-            expected += [(t, float(v)) for v in q if 14.0 < v < 12.0 * t * t]
+            expected += [(t, float(v)) for v in q
+                         if 14.0 < v < 12.0 * t * t and abs(t) > besselj._MILLER_MAX_T]
         assert seen == expected
         assert len(expected) > 0
+
+    def test_miller_band_against_mpmath(self):
+        # 12 q per t across 14 < q < 12 t^2, against 40 digits beyond the
+        # 0.9 q that mpmath's series loses; measured worst 1.8e-14 at |t| <= 3
+        # and 5.8e-11 up to t = 6: the error grows about tenfold per unit t
+        worst = {3.0: 0.0, 6.0: 0.0}
+        for t in np.concatenate([np.linspace(1.08, 6.0, 13), [-2.5, -6.0]]):
+            q = np.linspace(14.0, 12.0 * t * t, 13)[1:]
+            got = besselj._miller(t, q)
+            for v, g in zip(q, got):
+                with mp.workdps(40 + int(0.9 * v)):
+                    ref = complex(mp.besselj(2j * mp.mpf(t), mp.mpf(v)))
+                key = 3.0 if abs(t) <= 3.0 else 6.0
+                worst[key] = max(worst[key], abs(g - ref) / abs(ref))
+        print(f"worst relative error of Miller's recurrence: {worst}")
+        assert worst[3.0] <= 1e-13
+        assert worst[6.0] <= 2e-10
+
+    def test_miller_rescales_below_the_band(self):
+        # at q = 1e-8 the recurrence grows by ~1e300 from its start at level 32,
+        # past double range without the rescaling; the series is accurate there
+        q = np.array([1e-8, 1e-6, 1e-3, 0.5, 5.0])
+        for t in (0.0, 0.5, -3.0):
+            got = besselj._miller(t, q)
+            ref = besselj._series_double(t, q)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
     def test_conjugate_symmetry_random(self, rng):
         # J_{-2it}(q) = conj(J_{2it}(q)), termwise in the series
