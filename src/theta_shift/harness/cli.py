@@ -13,6 +13,7 @@ assertion fails and 2 on bad input or a failed solve.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import os
@@ -150,6 +151,9 @@ def _shifted_sum(args):
 
 def _fit(args):
     _, header, data = read_csv(args.infile)
+    for col in ("X", "S"):
+        if col not in header:
+            raise ValueError(f"{args.infile}: no column {col!r} (columns: {', '.join(header)})")
     xs = np.array([float(r[header.index("X")]) for r in data])
     ss = np.array([float(r[header.index("S")]) for r in data])
     slope = fit_exponent(xs, ss, args.c)
@@ -241,7 +245,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and reused: a parse reads it
+    without changing it."""
     top = argparse.ArgumentParser(
         prog="theta-shift",
         description="exponential-sum, special-function, and shifted-sum checks",

@@ -26,10 +26,15 @@ Every prime p <= sqrt(J^2 + h) dividing some j^2 + h is found from the
 roots of r^2 = -h (mod p), along j = +-r (mod p); what is left of j^2 + h
 is 1 or one prime q.  Moduli stay below 2^32, so `sqrt_mod` and the
 Cornacchia steps are exact in 64-bit integers.
+
+What does not change between requests is built once per interpreter: the
+sieve keeps its last 8 (h, J) rows and `eta7_cusp_form_on_demand` one form,
+both read-only, so a repeated CLI request pays for none of it again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,9 +90,11 @@ def _a_prime(p: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def eta_cubed_pair_squares(h: int, J: int) -> np.ndarray:
-    """a(j^2 + h) for j = 0..J as int64, with a(0) = 0, the constant term of a cusp
-    form; needs h >= 0 and J^2 + h <= 2^32.
+    """a(j^2 + h) for j = 0..J as a read-only int64 array, kept for the last 8
+    (h, J), with a(0) = 0, the constant term of a cusp form; needs h >= 0 and
+    J^2 + h <= 2^32.
 
     The roots of r^2 = -h (mod p), one `sqrt_mod` call over every prime
     p <= sqrt(J^2 + h), give every hit j = +-r (mod p) as one index array.
@@ -135,6 +142,7 @@ def eta_cubed_pair_squares(h: int, J: int) -> np.ndarray:
     big = np.flatnonzero(q > 1)
     out[big] *= _a_prime(q[big])
     out[n == 0] = 0
+    out.flags.writeable = False
     return out
 
 
@@ -148,8 +156,10 @@ def eta7_cusp_form(M: int) -> CuspForm:
     return _eta7(eta_cubed_pair_coeffs(M).astype(np.float64))
 
 
+@functools.cache
 def eta7_cusp_form_on_demand() -> CuspForm:
-    """The same form: a(j^2 + h) from the sieve for j^2 + h <= 2^32, any other
-    a(n) from the dense table to n = 20000."""
-    return _eta7(eta_cubed_pair_coeffs(_DENSE_M).astype(np.float64),
-                 squares=eta_cubed_pair_squares, squares_max=_SQUARES_MAX)
+    """The same form, one per interpreter: a(j^2 + h) from the sieve for
+    j^2 + h <= 2^32, any other a(n) from the read-only dense table to n = 20000."""
+    coeffs = eta_cubed_pair_coeffs(_DENSE_M).astype(np.float64)
+    coeffs.flags.writeable = False
+    return _eta7(coeffs, squares=eta_cubed_pair_squares, squares_max=_SQUARES_MAX)

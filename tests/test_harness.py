@@ -20,7 +20,7 @@ from theta_shift.harness import cli, suites
 from theta_shift.harness.cli import COMMANDS, _normalize_argv, _parser, main
 from theta_shift.harness.csvio import read_csv, write_csv
 from theta_shift.harness.suites import item_rng
-from theta_shift.modforms.eta import eta7_cusp_form_on_demand
+from theta_shift.modforms.eta import eta7_cusp_form_on_demand, eta_cubed_pair_squares
 from theta_shift.modforms.forms import CuspForm
 from theta_shift.specfun import whittaker
 
@@ -521,8 +521,9 @@ class TestCli:
         # oscillatory-map for the incomplete gamma's bottom-up continued
         # fraction and Horner series, crossing over at z = 2: every row's G
         # and ratio matched the Lentz loop's CSV to 8.5e-15 relative
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
+        for _ in range(2):   # the second run reads the kept parser, eta7 form and sieve rows
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+            assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
 
     def test_sym2_estimate_unchanged(self, tmp_path, capsys):
         # printed by the dense-table route before a(n) was computed on demand
@@ -538,6 +539,8 @@ class TestCli:
 
     def test_eta7_shifted_sum_memory_bound(self, tmp_path):
         # reads 4097 coefficients; the dense table to X = 4096 took 256 MB
+        eta7_cusp_form_on_demand.cache_clear()   # a kept form or row would measure no build
+        eta_cubed_pair_squares.cache_clear()
         tracemalloc.start()
         try:
             rc = main(["shifted-sum", "--form", "eta7", "--h", "7", "--xmax", "4096",
@@ -548,6 +551,27 @@ class TestCli:
         assert rc == 0
         assert peak < 64 * 2**20
 
+    def test_kept_parser_carries_nothing_between_requests(self, tmp_path):
+        assert _parser() is _parser()
+        whittaker = ["specfun", "whittaker", "--eta", "1.25", "--t", "2", "--y", "3.0"]
+        assert main(whittaker + ["--y", "1.0", "--out", str(tmp_path / "a")]) == 0
+        assert main(whittaker + ["--out", str(tmp_path / "b")]) == 0
+        assert len(read_csv(tmp_path / "b" / "specfun-whittaker.csv")[2]) == 1
+        kappas = []
+        for i, extra in enumerate((["--kappa", "0.25"], [])):
+            assert main(["oscillatory-map", "--n-omega", "2", "--n-T", "2", *extra,
+                         "--out", str(tmp_path / str(i))]) == 0
+            _, header, rows = read_csv(tmp_path / str(i) / "oscillatory-map.csv")
+            kappas.append({float(r[header.index("kappa")]) for r in rows})
+        assert kappas == [{0.25}, {0.5, -0.5}]   # the suite's default kappas
+        # refused after --t 1 was read; the next request sees only its own --t
+        with pytest.raises(SystemExit) as exc:
+            main(["specfun", "bessel", "--t", "1", "--q", "nan", "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert main(["specfun", "bessel", "--t", "2", "--q", "3",
+                     "--out", str(tmp_path / "c")]) == 0
+        assert [r[:2] for r in read_csv(tmp_path / "c" / "specfun-bessel.csv")[2]] == [["2", "3"]]
+
     def test_console_script_installed(self):
         out = subprocess.run([sys.executable, "-m", "theta_shift.harness.cli",
                               "remark-check", "--k", "5", "--out", "/tmp/ts-cli-test"],
@@ -557,6 +581,15 @@ class TestCli:
 
 
 class TestOutOfRangeInput:
+    @pytest.mark.parametrize("header, missing", [
+        (["t", "q", "re", "im"], "X"), (["X", "S_over_X"], "S")])
+    def test_fit_names_the_missing_column(self, tmp_path, capsys, header, missing):
+        path = tmp_path / "in.csv"
+        write_csv(path, "specfun-bessel", 0, header, [tuple(range(len(header)))])
+        assert main(["fit", "--in", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: no column '{missing}' (columns: {', '.join(header)})\n")
+
     def test_eval_depends_on_residues_only(self, tmp_path):
         # 10^23 - 1 = 3 mod 4; at int64 the phase index overflowed
         got = {}

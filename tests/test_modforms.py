@@ -116,6 +116,7 @@ class TestEtaOnDemand:
     def test_memory_bounded_at_large_n(self):
         # J = 65535 reaches n = 2^32 - 131070 + h: every temporary is O(J) or O(hits),
         # ~1.7e5 hits at h = 7, 21 MB at the peak
+        eta_cubed_pair_squares.cache_clear()   # a kept row would measure no sieve
         tracemalloc.start()
         try:
             eta_cubed_pair_squares(7, 65535)
@@ -125,12 +126,20 @@ class TestEtaOnDemand:
         assert peak < 32 * 2**20
 
     def test_keeps_shape_and_repeats(self):
+        eta_cubed_pair_squares.cache_clear()   # so the first (7, 100) below is sieved
         assert eta_cubed_pair_squares(0, 0).tolist() == [0]   # a(0): no constant term
         assert eta_cubed_pair_squares(2, 0).tolist() == [-3]
         assert eta_cubed_pair_squares(0, 3).tolist() == [0, 1, 5, 9]
         out = eta_cubed_pair_squares(7, 100)
         assert out.shape == (101,) and out.dtype == np.int64
-        assert np.array_equal(out, eta_cubed_pair_squares(7, 100))
+        again = eta_cubed_pair_squares(7, 100)
+        assert np.array_equal(out, again) and not again.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            again[1] = 0
+        f = eta7_cusp_form_on_demand()
+        assert f is eta7_cusp_form_on_demand() and not f.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeffs[0] = 0
 
     @pytest.mark.parametrize("h", [1, 7])
     def test_shifted_sums_equal_dense(self, eta7_big, h):
