@@ -265,8 +265,8 @@ def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
 def mellin_suite():
     """Contour-integral route against direct quadrature, plus shift invariance.
 
-    Tolerances sit near 100x the measured worst: contour vs direct 1.36e-11
-    at (1, 1, 2, 5, 2.0), shift invariance 5.12e-14 at the same point.
+    Tolerances sit above the measured worst: contour vs direct 2.55e-13 and
+    shift invariance 5.12e-14, both at (1, 1, 2, 5, 2.0).
     """
     tol, shift_tol = 1e-9, 5e-12
     grid = [
@@ -337,7 +337,7 @@ def theta_suite(seed: int = 5, trials: int = 100):
 
 def remark_suite(ks=(5, 9)):
     """The explicit level-576 inner product against its closed form; the
-    tolerance sits 32x above the worst measured gap, 3.16e-12 at k = 5."""
+    tolerance sits above the worst measured gap, 5.2e-15 at k = 9."""
     if not ks:
         raise ValueError("need at least one k")
     rows = []

@@ -1,7 +1,8 @@
 """Whittaker W function for real or purely imaginary second parameter.
 
-Two routes.  The first is the convergent 1F1 series of DLMF 13.14.33 with
-13.14.2,
+Three routes, tried in this order; the ODE is the last resort.
+
+The first is the convergent 1F1 series of DLMF 13.14.33 with 13.14.2,
 
     W = sum over +- of Gamma(-+2 mu) / Gamma(1/2 -+ mu - eta)
             e^{-y/2} y^{1/2 +- mu} 1F1(1/2 +- mu - eta; 1 +- 2 mu; y),
@@ -19,17 +20,36 @@ certified by the cancellation the sum suffers,
 pref = e^{-y/2} y^{1/2 +- mu}.  A point with cond above 1e3, a 1F1 still
 unconverged after 1000 terms, or a non-finite W goes to the ODE below.
 
-One private node evaluator, `_w_nodes`, serves every caller: the series
-wherever it certifies, then one ODE solve over the refused points only.
-`whittaker_W_grid` certifies each point against |W|.  The integrals over W
-values (`_squared_integral`'s head, `mellin.direct_G`) certify against
-the envelope instead, the modulus of the complex sum (for real mu, |W|
-again), so nodes near W's oscillation zeros pass.
+The second, for imaginary mu = it at y > 2t, is Miller's backward
+recurrence in a for U(a, b, y) (Temme, Numer. Math. 41 (1983); Gil,
+Segura and Temme 2007, ch. 4), with W = e^{-y/2} y^{mu+1/2} U(a, b, y),
+a = 1/2 + mu - eta, b = 1 + 2 mu (DLMF 13.14.3).  U(a+n, b, y) is the
+minimal solution of DLMF 13.3.7; with w_n = (a)_n (a-b+1)_n / n! the
+products F_n = w_n U(a+n) obey
 
-The second route integrates the Whittaker equation inward from asymptotic
-initial data.  Working with the scaled unknown v = W e^{y/2} y^{-eta}
-keeps everything real and inside double range even at spectral
-parameters around t ~ 40 (where W itself sits near e^{-pi t / 2}):
+    F_{n-1} = [(2a + 2n + y - b) n F_n - n (n+1) F_{n+1}] / ((a+n-1)(a-b+n)),
+
+whose coefficients are real at mu = it: 2a - b = -2 eta and
+(a+n-1)(a-b+n) = (n - 1/2 - eta)^2 + t^2.  The Laplace integral of U
+fixes the scale, sum_n F_n = y^{-a} for Re a > 0.  Where Re a < 1 the sum
+starts at the first m with Re a + m >= 1 instead,
+
+    sum_n F_{m+n} (m+n)! / n! = y^{-a-m} |(a)_m|^2,
+
+so with f_n the recurrence run from f_N = 1, f_{N+1} = 0,
+
+    W = e^{-y/2} y^{eta-m} |(a)_m|^2 f_0 / sum_n f_{m+n} (m+n)! / n!,
+
+real, in one exponent.  Each node starts at its own depth N(y), set by
+measurement (_miller_depth).
+
+The last route integrates the Whittaker equation inward from asymptotic
+initial data; it serves real mu where the series refuses or 2 mu is an
+integer, series refusals below 2t at mu = it, and, at small t, nodes just
+above 2t whose Miller depth would pass _MILLER_MAX_DEPTH.
+Working with the scaled unknown v = W e^{y/2} y^{-eta} keeps everything
+real and inside double range even at spectral parameters around t ~ 40
+(where W itself sits near e^{-pi t / 2}):
 
     v'' = (1 - 2 eta / y) v' - ((eta - 1/2)^2 - mu^2) / y^2 * v,
     v(inf) = 1.
@@ -54,8 +74,13 @@ y_top being the largest target:
 
 When y_join >= y0 the DOP853 leg alone runs from y0.
 
-The squared integrals int_a^inf W(u)^2 u^{-k} du are Gauss-Legendre
-quadrature over W values: `_w_nodes` below 2t, one ODE solve above.
+One private node evaluator, `_w_nodes`, serves every caller with these
+routes.  `whittaker_W_grid` certifies each series point against |W|.  The
+integrals over W values (`_squared_integral`, `mellin.direct_G`) certify
+against the envelope instead, the modulus of the complex sum (for real
+mu, |W| again), so nodes near W's oscillation zeros pass.  The squared
+integrals int_a^inf W(u)^2 u^{-k} du are Gauss-Legendre quadrature over
+`_w_nodes` values: the series below 2t, Miller above.
 """
 
 from __future__ import annotations
@@ -97,6 +122,15 @@ _REAL_MU_MAX = 30.0
 # coefficients' rounding, |log coef| * 1e-16 (3.5e-14 at mu = 29.3), meets cond.
 _SERIES_TERMS = 1000
 _SERIES_COND = 1e3
+# Miller's depth N(y) (_miller_depth).  At eta in {0, +-1.25, +-2.25, +-4.25, +-20},
+# t in {1, 2, 5, 10, 40, 150, 250} and 40 y log-spaced from 2t to the c4 tail's y_hi,
+# it is at least 1.2 times the smallest depth on a 10%-step ladder that stays within
+# 1e-15 of a 12000-level run, whose largest is 1570 at (-20, 1, y = 2).  On that
+# (eta, t) grid, 5 y each, every node is within 7.5e-14 of 40-digit mpmath (2.4e-14
+# at t <= 40); the floor is the rounding of W's one exponent, near -650 at t = 250.
+# Above _MILLER_MAX_DEPTH, reached just above 2t at t < 0.07 (eta >= 0) to t < 0.54
+# (eta = -20), the ODE serves.
+_MILLER_MAX_DEPTH = 4000
 
 
 def _asymptotic_v(eta: float, mu2: float, y0: float):
@@ -266,20 +300,79 @@ def _series(eta: float, mu2: float, ys: np.ndarray, envelope: bool = False):
         return ws, np.isfinite(ws) & (log_bound - log_ref <= math.log(_SERIES_COND))
 
 
+def _miller_depth(eta: float, t: float, ys: np.ndarray) -> np.ndarray:
+    """Miller's start level per node, N(y) = ((23 + 2.1 max(0, -eta))^2 +
+    (1.55 t)^2) / y + 70, set by measurement (see _MILLER_MAX_DEPTH)."""
+    return np.ceil(((23.0 + 2.1 * max(0.0, -eta)) ** 2 + (1.55 * t) ** 2) / ys + 70.0)
+
+
+def _miller(eta: float, t: float, ys: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """W_{eta,it}(ys) by Miller's backward recurrence in a (module docstring),
+    each node started at its own level depth.  Nodes are sorted by depth, so
+    the ones started by level k are a prefix; every 16 levels each node's
+    (f_k, f_(k+1), sum) is rescaled by its own max(|f_k|, |f_(k+1)|)."""
+    order = np.argsort(-depth, kind="stable")
+    # W underflows to 0 well before y = 4000 at |eta| <= 20, t <= 250 (e^{-y/2} y^20
+    # alone is e^{-1834} there); the clip keeps larger y from overflowing the levels
+    yv = np.minimum(ys[order], 4000.0)
+    start = depth[order].astype(np.int64)
+    top = int(start[0])
+    # live[k] nodes have started at level k
+    live = np.searchsorted(-start, -np.arange(top + 2), side="right").tolist()
+    m = max(0, math.ceil(eta + 0.5))   # the first m with Re a + m >= 1
+    k = np.arange(top + 1, dtype=np.float64)
+    den = (k - 0.5 - eta) ** 2 + t * t     # (a+k-1)(a-b+k)
+    lin, quad = k / den, k * (k + 1.0) / den
+    shift = 2.0 * k - 2.0 * eta
+    weight = np.ones(top + 1)           # k! / (k-m)!, 0 below m
+    for j in range(m):
+        weight *= np.maximum(k - j, 0.0)
+    f = np.zeros(yv.size)      # f_k
+    f_up = np.zeros(yv.size)   # f_(k+1)
+    s = np.zeros(yv.size)
+    for level in range(top, 0, -1):
+        n = live[level]
+        f[live[level + 1]:n] = 1.0
+        if level >= m:
+            s[:n] += weight[level] * f[:n]
+        if level % 16 == 0:
+            scale = 1.0 / np.maximum(np.abs(f[:n]), np.abs(f_up[:n]))
+            for a in (f, f_up, s):
+                a[:n] *= scale
+        f_up[:n] = (yv[:n] + shift[level]) * (lin[level] * f[:n]) - quad[level] * f_up[:n]
+        f, f_up = f_up, f
+    s += weight[0] * f
+    # |(a)_m|^2 <= 62900^21 ~ 6e100 at |eta| <= 20, t <= 250
+    ratio = f / s * math.prod((j + 0.5 - eta) ** 2 + t * t for j in range(m))
+    with np.errstate(divide="ignore"):
+        ws = np.sign(ratio) * np.exp(-0.5 * yv + (eta - m) * np.log(yv) + np.log(np.abs(ratio)))
+    out = np.empty_like(ws)
+    out[order] = ws
+    return out
+
+
 def _w_nodes(eta: float, mu: complex, ys: np.ndarray, envelope: bool = False) -> np.ndarray:
-    """W_{eta,mu} over positive ys: the 1F1 series wherever it certifies
-    (against |W|, or with envelope against the modulus of the complex sum,
-    which passes the zeros of W's oscillation), then one ODE solve over the
-    refused points only.  The series is tried at y <= 2t for mu = it, and at
-    every y for real mu with 2 mu not an integer."""
+    """W_{eta,mu} over positive ys (module docstring): the 1F1 series wherever
+    it certifies (against |W|, or with envelope against the modulus of the
+    complex sum, which passes the zeros of W's oscillation), Miller's
+    recurrence at mu = it above 2t, then one ODE solve over the rest only.
+    The series is tried at y <= 2t for mu = it, and at every y for real mu
+    with 2 mu not an integer."""
     eta, mu2 = _params(eta, mu)
+    ws = np.empty_like(ys)
+    miller = np.zeros(ys.size, dtype=bool)
     if mu2 < 0:
-        tried = ys <= 2.0 * math.sqrt(-mu2)
+        t = math.sqrt(-mu2)
+        tried = ys <= 2.0 * t
+        depth = np.zeros(ys.size)
+        depth[~tried] = _miller_depth(eta, t, ys[~tried])
+        miller = ~tried & (depth <= _MILLER_MAX_DEPTH)
+        if miller.any():
+            ws[miller] = _miller(eta, t, ys[miller], depth[miller])
     else:
         two_mu = 2.0 * math.sqrt(mu2)
         tried = np.full(ys.size, two_mu != round(two_mu))
-    ws = np.empty_like(ys)
-    ode = ~tried
+    ode = ~tried & ~miller
     if tried.any():
         ws[tried], certified = _series(eta, mu2, ys[tried], envelope)
         ode[tried] = ~certified
@@ -297,8 +390,9 @@ def whittaker_W(eta: float, mu: complex, y: float) -> float:
 def whittaker_W_grid(eta: float, mu: complex, ys) -> np.ndarray:
     """W_{eta,mu} over positive ys: each point the 1F1 series certifies
     against |W| comes from it (imaginary mu = it at y <= 2|t|, real mu with
-    2 mu not an integer at any y); every other point from one inward ODE
-    solve over their range."""
+    2 mu not an integer at any y), imaginary mu above 2|t| from Miller's
+    recurrence, and every other point from one inward ODE solve over their
+    range."""
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     if not np.all(ys > 0):   # nan too
         raise ValueError(f"argument must be positive, got y={ys[~(ys > 0)][0]}")
@@ -327,15 +421,16 @@ def whittaker_uniform_ratio_grid(eta: float, t: float, ys) -> np.ndarray:
 
 
 def _squared_integral(eta: float, t: float, a: float, k: int) -> float:
-    """int_a^inf W_{eta,it}(u)^2 u^{-k} du, 0 <= a < 2t, by 16-point panels.
+    """int_a^inf W_{eta,it}(u)^2 u^{-k} du, 0 <= a < 2t, by 16-point panels on
+    _w_nodes values.
 
     Head: in log u over [max(a, 1e-30), 2t], 60 plus one per cycle of W ~
-    cos(t log u), on _w_nodes under its envelope certificate.  Tail: 60 panels on
-    one ODE solve up to y_hi, where u^{2 eta} e^{-u} is far below the integral.
+    cos(t log u), under the series' envelope certificate.  Tail: 60 panels
+    over [2t, y_hi], Miller's nodes, where u^{2 eta} e^{-u} is far below the
+    integral.
     """
     lo, top = max(a, 1e-30), 2.0 * t
     y_hi = math.pi * t + 40.0 + 4.0 * abs(eta) * math.log(t + 2.0)
-    sol = whittaker_solution(eta, 1j * t, top, y_hi)
 
     def head(s):
         u = np.exp(s)
@@ -344,7 +439,7 @@ def _squared_integral(eta: float, t: float, a: float, k: int) -> float:
 
     n_head = 60 + math.ceil(t * math.log(top / lo) / (2.0 * math.pi))
     return (gl_panels(head, np.linspace(math.log(lo), math.log(top), n_head + 1), 16)
-            + gl_panels(lambda u: sol.w_values(u) ** 2 * u ** -k,
+            + gl_panels(lambda u: _w_nodes(eta, 1j * t, u) ** 2 * u ** -k,
                         np.linspace(top, y_hi, 61), 16))
 
 

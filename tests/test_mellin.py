@@ -29,6 +29,14 @@ class TestDualRoute:
         g2 = mellin_barnes_G(n1, n2, m, k, t, 0.75 * kappa / 2).real
         assert g1 == pytest.approx(g2, rel=5e-12, abs=0)
 
+    @pytest.mark.parametrize("n1,n2,m,k,t", GRID)
+    def test_direct_meets_contour_at_suite_points(self, n1, n2, m, k, t):
+        # mellin_suite's points and contour; the worst measured is 2.55e-13 at
+        # (1, 1, 2, 5, 2.0), where the part below 1/decay cancels 85% of the rest
+        kappa = k - 0.5
+        g = mellin_barnes_G(n1, n2, m, k, t, 0.3 * kappa / 2).real
+        assert direct_G(n1, n2, m, k, t) == pytest.approx(g, rel=2.5e-12, abs=0)
+
     def test_imaginary_spectral_parameter(self):
         # the Maass-lift shape: second Whittaker parameter 1/4
         g = mellin_barnes_G(1, 1, 2, 5, -0.25j, 0.5).real
@@ -37,18 +45,23 @@ class TestDualRoute:
 
 
 class TestWhittakerNodes:
-    def test_ode_only_above_twice_t(self, monkeypatch):
-        # nodes below 2t = 2 are the 1F1 series' under its envelope certificate
-        solves = []
-        solution = whittaker.whittaker_solution
+    def test_miller_above_twice_t(self, monkeypatch):
+        # nodes below 2t = 2 are the 1F1 series' under its envelope certificate,
+        # the nodes above Miller's recurrence's; no ODE is solved
+        millers = []
+        miller = whittaker._miller
 
-        def solution_spy(eta, mu, y_min, y_max):
-            solves.append(y_min)
-            return solution(eta, mu, y_min, y_max)
+        def miller_spy(eta, t, ys, depth):
+            millers.append(ys)
+            return miller(eta, t, ys, depth)
 
-        monkeypatch.setattr(whittaker, "whittaker_solution", solution_spy)
+        def no_ode(*args):
+            raise AssertionError("ODE solved at mu = i")
+
+        monkeypatch.setattr(whittaker, "_miller", miller_spy)
+        monkeypatch.setattr(whittaker, "whittaker_solution", no_ode)
         direct_G(1, 1, 2, 5, 1.0)
-        assert len(solves) == 1 and solves[0] > 2.0
+        assert millers and all(ys.min() > 2.0 for ys in millers)
 
 
 class TestDomain:
@@ -72,3 +85,9 @@ class TestDomain:
         with pytest.raises(ValueError):
             mellin_barnes_G(1, 1, 2, 5, 1.5j, 1.0)
         mellin_barnes_G(1, 1, 2, 5, 1.5j, 0.5)
+
+    @pytest.mark.parametrize("t", [2.25j, -3.0j])
+    def test_divergent_direct_integral_refused(self, t):
+        # kappa/2 = 2.25: near 0 the integrand is ~ y^(1.25 - |Im t|), not integrable
+        with pytest.raises(ValueError, match="diverges at 0"):
+            direct_G(1, 1, 2, 5, t)

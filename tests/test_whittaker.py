@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from theta_shift.harness import suites
 from theta_shift.specfun import whittaker
 from theta_shift.specfun.whittaker import (
     whittaker_W,
@@ -109,11 +110,12 @@ class TestNormIdentity:
         assert q == pytest.approx(whittaker_norm_closed_form(eta, t), rel=1e-11, abs=0)
 
     @pytest.fixture
-    def head_refusals(self, monkeypatch):
-        """Head nodes the series refuses under its envelope rule, per call,
-        and the ODE solves requested, as (y_min, y_max)."""
-        refused, solves = [], []
-        series, solution = whittaker._series, whittaker.whittaker_solution
+    def routes(self, monkeypatch):
+        """Head nodes the series refuses under its envelope rule, per call; the
+        nodes Miller's recurrence serves, per call; and the ODE solves
+        requested, as (y_min, y_max)."""
+        refused, millers, solves = [], [], []
+        series, miller, solution = whittaker._series, whittaker._miller, whittaker.whittaker_solution
 
         def series_spy(eta, mu2, ys, envelope=False):
             ws, certified = series(eta, mu2, ys, envelope)
@@ -121,32 +123,42 @@ class TestNormIdentity:
                 refused.append(ys[~certified])
             return ws, certified
 
+        def miller_spy(eta, t, ys, depth):
+            millers.append(ys)
+            return miller(eta, t, ys, depth)
+
         def solution_spy(eta, mu, y_min, y_max):
             solves.append((y_min, y_max))
             return solution(eta, mu, y_min, y_max)
 
         monkeypatch.setattr(whittaker, "_series", series_spy)
+        monkeypatch.setattr(whittaker, "_miller", miller_spy)
         monkeypatch.setattr(whittaker, "whittaker_solution", solution_spy)
-        return refused, solves
+        return refused, millers, solves
 
-    def test_refused_head_nodes_go_to_the_ode(self, head_refusals):
-        # near y = 4 = 2t the sum cancels by more than 1e3 against its largest term
-        refused, solves = head_refusals
+    def test_refused_head_nodes_go_to_the_ode(self, routes):
+        # near y = 4 = 2t the sum cancels by more than 1e3 against its largest term;
+        # the ODE serves those nodes alone, and Miller's recurrence the 960 tail nodes
+        refused, millers, solves = routes
         q = whittaker_l2_norm(20.0, 2.0)
         assert q == pytest.approx(whittaker_norm_closed_form(20.0, 2.0), rel=1e-11, abs=0)
         (nodes,) = refused
         assert 0 < nodes.size < 10
-        assert (nodes.min(), nodes.max()) in solves
+        assert solves == [(nodes.min(), nodes.max())]
+        (tail,) = millers
+        assert tail.size == 960 and tail.min() > 4.0
 
     @pytest.mark.parametrize("eta", [1.25, -1.25])
-    def test_envelope_rule_certifies_every_head_node(self, head_refusals, eta):
+    def test_envelope_rule_certifies_every_head_node(self, routes, eta):
         # the pointwise rule would refuse nodes near the zeros of W
-        refused, solves = head_refusals
+        refused, millers, solves = routes
         ts = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
         for t in ts:
             whittaker_l2_norm(eta, t)
         assert len(refused) == 6 and all(nodes.size == 0 for nodes in refused)
-        assert [y_min for y_min, _ in solves] == [2.0 * t for t in ts]   # the tails alone
+        assert solves == []
+        assert [(tail.size, tail.min() > 2.0 * t) for tail, t in zip(millers, ts)] == [
+            (960, True)] * 6   # one Miller call per tail
 
 
 class TestUniformRatio:
@@ -198,8 +210,7 @@ class TestLowerBound:
 
     def test_pinned_value(self):
         # pinned from a quadrature state carried along the ODE; the series head
-        # over [15, 60] plus the ODE tail (LSODA from y0 = 3610 to the join at
-        # 177, DOP853 below) reproduce it to 1.4e-12
+        # over [15, 60] plus the Miller tail over [60, 152] reproduce it to 1.4e-12
         v = whittaker_lower_bound_check(-1.25, 30.0, 1.0 / (8 * math.pi))
         assert v == pytest.approx(25.55578817564735, rel=1e-10)
 
@@ -229,7 +240,7 @@ class TestOdeConsistency:
         (0.0, 1.0, np.linspace(2.0, 3.6, 9)[1:]),
     ], ids=["t2-both-routes", "t5-above-2t", "t20-above-2t", "t1-above-2t"])
     def test_grid_against_mpmath(self, eta, t, ys):
-        # the series below 2t, the ODE above it, where it serves every point
+        # the series below 2t, Miller's recurrence above it, where it serves every point
         got = whittaker_W_grid(eta, 1j * t, ys)
         with mp.workdps(40):
             ref = np.array([float(mp.re(mp.whitw(eta, 1j * t, y))) for y in ys])
@@ -291,11 +302,16 @@ class TestSeriesRoute:
             for y, w in zip(ys, got):
                 assert w == pytest.approx(float(mp.re(mp.whitw(eta, 1j * t, y))), rel=1e-8)
 
-    def test_points_above_twice_t_go_to_the_ode(self):
+    def test_points_above_twice_t_go_to_miller(self, monkeypatch):
+        def no_ode(*args):
+            raise AssertionError("ODE solved at mu = 2i")
+
+        monkeypatch.setattr(whittaker, "whittaker_solution", no_ode)
         ys = np.array([1.0, 3.0, 6.0])
         got = whittaker_W_grid(1.25, 2j, ys)
         assert got[:2].tolist() == whittaker._series(1.25, -4.0, ys[:2])[0].tolist()
-        assert got[2] == whittaker_solution(1.25, 2j, 6.0, 6.0).w_values(6.0)[0]
+        assert got[2] == whittaker._miller(1.25, 2.0, ys[2:],
+                                           whittaker._miller_depth(1.25, 2.0, ys[2:]))[0]
 
 
 class TestRealMuSeries:
@@ -356,3 +372,64 @@ class TestRealMuSeries:
         assert got[1] == whittaker_solution(0.0, 0.3, 800.0, 800.0).w_values(800.0)[0]
         with mp.workdps(40):
             assert got[1] == pytest.approx(float(mp.whitw(0, 0.3, 800)), rel=1e-8)
+
+
+class TestMillerRoute:
+    """Imaginary mu above the turning point: Miller's recurrence in a for
+    U(a, b, y), against deeper runs of itself and 40-digit mpmath."""
+
+    ETAS = (0.0, 1.25, -1.25, 2.25, -2.25, 4.25, -4.25, 20.0, -20.0)
+    TS = (1.0, 2.0, 5.0, 10.0, 40.0, 150.0, 250.0)
+
+    @staticmethod
+    def tail_ys(eta, t, n):
+        """n points log-spaced from 2t to the top of the c4 tail."""
+        y_hi = math.pi * t + 40.0 + 4.0 * abs(eta) * math.log(t + 2.0)
+        return np.geomspace(2.0 * t, y_hi, n)
+
+    def test_depth_covers_convergence(self):
+        # N(y) / 1.2 levels already reach 1e-15 of a run four times as deep, so
+        # N(y) is at least 1.2 times the smallest depth that reaches 1e-15
+        for eta in self.ETAS:
+            for t in self.TS:
+                ys = self.tail_ys(eta, t, 12)
+                depth = whittaker._miller_depth(eta, t, ys)
+                ref = whittaker._miller(eta, t, ys, 4 * depth)
+                got = whittaker._miller(eta, t, ys, (depth / 1.2).astype(np.int64))
+                assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (eta, t)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.25, -1.25, 20.0, -20.0])
+    def test_against_mpmath(self, eta):
+        for t in (1.0, 5.0, 40.0, 150.0):
+            ys = self.tail_ys(eta, t, 4)[1:]
+            got = whittaker_W_grid(eta, 1j * t, ys)
+            with mp.workdps(40):
+                ref = np.array([float(mp.re(mp.whitw(eta, 1j * t, y))) for y in ys])
+            assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), t
+
+    def test_underflow_point(self):
+        # W = 1.5e-281 while e^{-y/2} = e^{-750} alone underflows: W in one exponent.
+        # ref: 40-digit mp.whitw(20, 250j, 1500), 2 s to recompute
+        ref = 1.4950772391234801e-281
+        assert whittaker_W(20.0, 250j, 1500.0) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_past_max_depth_goes_to_the_ode(self):
+        # at t = 0.01 the depth just above 2t is 17700 levels, past the 4000 cap
+        ys = np.array([0.03, 5.0])
+        assert whittaker._miller_depth(0.0, 0.01, ys)[0] > whittaker._MILLER_MAX_DEPTH
+        got = whittaker_W_grid(0.0, 0.01j, ys)
+        assert got[0] == whittaker_solution(0.0, 0.01j, 0.03, 0.03).w_values(0.03)[0]
+        with mp.workdps(40):
+            ref = [float(mp.re(mp.whitw(0, 0.01j, y))) for y in ys]
+        assert got.tolist() == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("y", [1e4, 1e12, 1e300])
+    def test_far_tail_is_zero(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert whittaker_W_grid(-20.0, 1j, [y]).tolist() == [0.0]
+
+    def test_norm_and_mellin_suites_solve_no_ode(self):
+        before = whittaker._solve_scaled.cache_info()
+        assert suites.whittaker_norm_suite()[3] and suites.mellin_suite()[3]
+        assert whittaker._solve_scaled.cache_info() == before
