@@ -29,7 +29,7 @@ from ..modforms.forms import load_form, save_form
 from ..modforms.residual import sym2_residue_estimate
 from ..modforms.sums import fit_exponent
 from ..specfun.besselj import bessel_J_imag_order
-from ..specfun.whittaker import whittaker_W
+from ..specfun.whittaker import whittaker_W_grid
 from . import suites
 from .csvio import read_csv, write_csv
 
@@ -117,8 +117,9 @@ def _specfun_whittaker(args):
     if (args.t is None) == (args.mu is None):
         raise ValueError("exactly one of --t / --mu is required")
     mu = 1j * args.t if args.t is not None else args.mu
-    rows = [(args.eta, str(mu), y, whittaker_W(args.eta, mu, y))
-            for y in sorted(args.y)]
+    ys = sorted(args.y)
+    rows = [(args.eta, str(mu), y, w)
+            for y, w in zip(ys, whittaker_W_grid(args.eta, mu, ys).tolist())]
     lines = [f"W({args.eta},{mu})({y}) = {w:.12e}" for *_, y, w in rows]
     return ["eta", "mu", "y", "W"], rows, lines, True
 

@@ -1,21 +1,21 @@
 """J-Bessel function of purely imaginary order 2it.
 
-One array function over q, served by three numpy routes, each run on
-the q it serves:
+One array function over q, served by three routes, each on its own q:
 
-* the ascending power series up to q = 14; it loses ~q/2.3 digits to
-  cancellation, so it stops there;
-* the large-argument (Hankel) expansion where 12 t^2 <= q, which needs q
-  large compared to the order squared.  At the edge 12 t^2 = q, q just
-  above 14, its optimal truncation leaves a few 1e-11 relative error,
-  and a truncation that cannot meet the 1e-8 target raises;
-* Miller's backward recurrence on the band 14 < q < 12 t^2 for
-  |t| <= 6.  Against 40-digit mpmath it is within 3e-14 relative at
-  |t| <= 3, 3e-13 at t = 4, 5e-12 at t = 5 and 8e-11 at t = 6.
-
-mpmath at boosted precision (0.9 q digits, one q at a time) serves only
-the band at |t| > 6, up to q = 2000 (about 1 s at q = 1000, 5 s at
-q = 2000).
+* Miller's backward recurrence up to q = 14 at every t, and on the band
+  14 < q < 12 t^2 for |t| <= 6, each element from its own measured depth:
+  1.5 q + 11 q^(1/3) + 6 up to q = 14 (1.2 times what meets a run four
+  times as deep), q + 10 q^(1/3) + 30 on the band, and 0 up to q = 2e-8,
+  where J is its leading term (q/2)^(2it) / Gamma(1 + 2it) to rounding.
+  Against 40-digit mpmath, up to q = 14 it is within 4e-15 relative at
+  t <= 1 and 1.5e-14 at t = 2, then held by the rounding of the phase
+  2t log(q/2) (3.9e-13 at t = 50); on the band within 3e-14 at |t| <= 3,
+  5e-12 at t = 5 and 8e-11 at t = 6;
+* the large-argument (Hankel) expansion where 12 t^2 <= q above q = 14.
+  At the edge 12 t^2 = q, q just above 14, its optimal truncation leaves
+  a few 1e-11 relative error; one that misses the 1e-8 target raises;
+* mpmath at boosted precision (0.9 q digits, one q at a time) on the band
+  at |t| > 6, up to q = 2000 (about 1 s at q = 1000, 5 s at q = 2000).
 """
 
 from __future__ import annotations
@@ -25,81 +25,41 @@ import math
 import numpy as np
 
 from .gammafun import log_gamma
+from .recurrence import miller
 
-_SERIES_FAST_MAX = 14.0
+_MILLER_ANY_T_MAX_Q = 14.0
+_LEADING_MAX_Q = 2e-8
 _HANKEL_MIN_Q_OVER_T2 = 12.0
 _MILLER_MAX_T = 6.0
 _BOOSTED_MAX_Q = 2000.0
 _TARGET = 1e-8
 
 
-def _series_double(t: float, q: np.ndarray) -> np.ndarray:
-    """Ascending series in complex doubles; good to ~1e-11 for q <= 14.
-
-    An element stops once its term falls below 1e-18 of its running
-    total (or after 201 terms); the rest go on without it.
-    """
-    nu = 2j * t
-    # leading factor (q/2)^nu / Gamma(nu + 1)
-    term = np.exp(nu * np.log(q / 2.0) - log_gamma(nu + 1.0))
-    total = term.copy()
-    q24 = 0.25 * q * q
-    live = np.arange(q.size)
-    for k in range(1, 202):
-        term = term * (-q24 / (k * (nu + k)))
-        total[live] += term
-        going = np.abs(term) >= 1e-18 * np.maximum(np.abs(total[live]), 1e-30)
-        if not going.any():
-            break
-        if not going.all():
-            live, term, q24 = live[going], term[going], q24[going]
-    return total
+def _depth(q: np.ndarray) -> np.ndarray:
+    """Miller's start level per element (module docstring)."""
+    c = np.cbrt(q)
+    rule = np.where(q <= _MILLER_ANY_T_MAX_Q, 1.5 * q + 11.0 * c + 6.0, q + 10.0 * c + 30.0)
+    return np.where(q <= _LEADING_MAX_Q, 0.0, np.ceil(rule))
 
 
 def _miller(t: float, q: np.ndarray) -> np.ndarray:
-    """J_nu(q), nu = 2it, by Miller's backward recurrence (Gautschi 1967).
-
-    From f_N = 1, f_(N+1) = 0 at each element's own start N(q) = q +
-    10 q^(1/3) + 30, rounded up to even, the recurrence
-    f_(k-1) = (2 (nu + k) / q) f_k - f_(k+1) runs down to f_0, which is
-    proportional to J_nu(q).  DLMF 10.23.15 divided by Gamma(nu + 1),
-    (q/2)^nu / Gamma(nu + 1) = sum_m w_m J_(nu+2m)(q) with w_0 = 1 and
-    w_m = (nu + 2m) Gamma(nu + m) / (m! Gamma(nu + 1)), fixes the scale
-    without the pole of Gamma(nu) at t = 0.  Elements are sorted by q, so
-    the ones started by level k are a prefix.
-    """
+    """J_nu(q), nu = 2it, by recurrence.miller on f_(k-1) = (2 (nu + k) / q)
+    f_k - f_(k+1), each element from its own _depth(q).  DLMF 10.23.15 over
+    Gamma(nu + 1), (q/2)^nu / Gamma(nu + 1) = sum_m w_m J_(nu+2m)(q) with
+    w_0 = 1 and w_m = (nu + 2m) Gamma(nu + m) / (m! Gamma(nu + 1)), fixes
+    the scale without the pole of Gamma(nu) at t = 0 (Gautschi 1967)."""
     nu = 2j * t
-    order = np.argsort(-q, kind="stable")
-    qs = q[order]
-    start = np.ceil(qs + 10.0 * np.cbrt(qs) + 30.0).astype(np.int64)
-    start += start % 2
-    top = int(start[0])
-    # live[k] elements have started at level k
-    live = np.searchsorted(-start, -np.arange(top + 2), side="right").tolist()
-    # w_m / (nu + 2m) = prod_(j<m) (nu + j) / m!, the factor nu of j = 0 left out
-    m = np.arange(1, top // 2 + 1)
-    ratio = (nu + m - 1.0) / m
-    ratio[0] = 1.0
-    w = np.concatenate([[1.0], (nu + 2.0 * m) * np.cumprod(ratio)])
-    two_over_q = 2.0 / qs
-    f = np.zeros(qs.size, dtype=np.complex128)       # f_k
-    f_up = np.zeros(qs.size, dtype=np.complex128)    # f_(k+1)
-    s = np.zeros(qs.size, dtype=np.complex128)
-    for k in range(top, 0, -1):
-        n = live[k]
-        f[live[k + 1]:n] = 1.0
-        if k % 2 == 0:
-            s[:n] += w[k // 2] * f[:n]
-            if k % 16 == 0:   # rescale against overflow, each element on its own
-                big = np.abs(f[:n]) > 1e100
-                for a in (f, f_up, s):
-                    a[:n][big] *= 1e-100
-        f_up[:n] = (nu + k) * two_over_q[:n] * f[:n] - f_up[:n]
-        f, f_up = f_up, f
-    s += f
-    out = np.empty_like(f)
-    out[order] = f / s * np.exp(nu * np.log(qs / 2.0) - log_gamma(nu + 1.0))
-    return out
+    depth = _depth(q)
+    # w_m = (nu + 2m) prod_(0<j<m) (nu + j) / m! for m >= 1
+    m = np.arange(depth.max() // 2 + 1.0)
+    ratio = (nu + m - 1.0) / np.maximum(m, 1.0)
+    ratio[:2] = 1.0
+    w = np.zeros(2 * m.size, dtype=np.complex128)
+    w[::2] = (nu + 2.0 * m) * np.cumprod(ratio)
+    w[0] = 1.0
+    # x = 2/q, complex so that the step multiplies without a cast
+    f0 = miller(2.0 / q + 0j, depth, lambda k, x, f, f_up: (nu + k) * x * f - f_up, w)
+    return f0 * np.exp(nu * np.log(q / 2.0) - log_gamma(nu + 1.0))
 
 
 def _series_boosted(t: float, q: float) -> complex:
@@ -167,23 +127,21 @@ def bessel_J_imag_order(t: float, q):
     if bad.any():
         raise ValueError(f"argument must be positive and finite, got q={flat[bad][0]:g}")
     out = np.empty(flat.shape, dtype=np.complex128)
-    series = flat <= _SERIES_FAST_MAX
-    hankel = ~series & (_HANKEL_MIN_Q_OVER_T2 * t * t <= flat)
-    band = ~(series | hankel)
-    beyond = band & (flat > _BOOSTED_MAX_Q)
-    if beyond.any():
-        raise ValueError(f"J_(2it) at t={t:g}, q={flat[beyond][0]:g} needs mpmath beyond "
+    above = flat > _MILLER_ANY_T_MAX_Q
+    hankel = above & (_HANKEL_MIN_Q_OVER_T2 * t * t <= flat)
+    recur = ~hankel
+    boosted = np.flatnonzero(above & recur) if abs(t) > _MILLER_MAX_T else []
+    beyond = flat[boosted][flat[boosted] > _BOOSTED_MAX_Q]
+    if beyond.size:
+        raise ValueError(f"J_(2it) at t={t:g}, q={beyond[0]:g} needs mpmath beyond "
                          f"its limit q <= {_BOOSTED_MAX_Q:g} (for q < 12 t^2)")
-    if series.any():
-        out[series] = _series_double(t, flat[series])
+    recur[boosted] = False
     if hankel.any():
         out[hankel] = _hankel(t, flat[hankel])
-    if abs(t) <= _MILLER_MAX_T:
-        if band.any():
-            out[band] = _miller(t, flat[band])
-    else:
-        for i in np.flatnonzero(band):
-            out[i] = _series_boosted(t, float(flat[i]))
+    if recur.any():
+        out[recur] = _miller(t, flat[recur])
+    for i in boosted:
+        out[i] = _series_boosted(t, float(flat[i]))
     overflow = ~np.isfinite(out)
     if overflow.any():
         raise RuntimeError(f"J_(2it) at t={t:g}, q={flat[overflow][0]:g} leaves double range")

@@ -4,7 +4,7 @@ This is the oscillatory tail integral Im int_z^inf u^{a-1} e^{iu} du
 (equivalently int_z^inf sin(u - pi a / 2) u^{a-1} du up to bookkeeping)
 that drives the closed reduction of the Bessel-kernel integrals.
 Vectorized in z, with the nodes sorted by z so that each level of a
-backward evaluation works on a prefix:
+backward evaluation works on a prefix counted by recurrence.levels:
 
 * below z = 2, the lower series by Horner, the a <= 0 range reached by
   the upward recurrence; its terms peak near e^z, so the crossover keeps
@@ -25,12 +25,9 @@ import math
 import numpy as np
 from scipy.special import exp1
 
+from .recurrence import levels
+
 _CROSSOVER = 2.0
-
-
-def _levels(depth: np.ndarray) -> list:
-    """live[k] = how many elements have depth >= k, for depth sorted descending."""
-    return np.searchsorted(-depth, -np.arange(int(depth[0]) + 2), side="right").tolist()
 
 
 def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
@@ -40,7 +37,7 @@ def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     where the terms have fallen below 1e-19 of the first, down to n = 0;
     the elements that reach a level are a prefix.
     """
-    live = _levels(np.ceil(12.0 + 8.0 * np.abs(x)).astype(np.int64))
+    _, live = levels(np.ceil(12.0 + 8.0 * np.abs(x)).astype(np.int64))
     h = np.ones_like(x)
     for n in range(len(live) - 2, 0, -1):
         hn = h[:live[n]]
@@ -65,7 +62,7 @@ def _upper_gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
     the steps a Lentz loop takes to converge at any a in (-2, 2).
     """
     depth = _cf_depth(np.abs(x))
-    live = _levels(depth)
+    _, live = levels(depth)
     xb = x - (1.0 + a)   # b_(i-1) = xb + 2i
     f = xb + 2.0 * (depth + 1)
     for i in range(len(live) - 2, 0, -1):

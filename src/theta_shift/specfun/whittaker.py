@@ -41,7 +41,8 @@ so with f_n the recurrence run from f_N = 1, f_{N+1} = 0,
     W = e^{-y/2} y^{eta-m} |(a)_m|^2 f_0 / sum_n f_{m+n} (m+n)! / n!,
 
 real, in one exponent.  Each node starts at its own depth N(y), set by
-measurement (_miller_depth).
+measurement (_miller_depth); the loop is recurrence.miller, shared with
+J_{2it}.
 
 The last route integrates the Whittaker equation inward from asymptotic
 initial data; it serves real mu where the series refuses or 2 mu is an
@@ -94,6 +95,7 @@ from scipy.integrate import solve_ivp
 
 from ..quadrature import gl_panels
 from .gammafun import digamma, log_gamma
+from .recurrence import miller
 
 # Against 40-digit mpmath W(4.25, 0.25, 4) is off by 3.9e-12 (7.3e-12 at 1e-12
 # and 1e-13); LSODA at 1e-14 stops with "Unexpected istate".
@@ -307,48 +309,24 @@ def _miller_depth(eta: float, t: float, ys: np.ndarray) -> np.ndarray:
 
 
 def _miller(eta: float, t: float, ys: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """W_{eta,it}(ys) by Miller's backward recurrence in a (module docstring),
-    each node started at its own level depth.  Nodes are sorted by depth, so
-    the ones started by level k are a prefix; every 16 levels each node's
-    (f_k, f_(k+1), sum) is rescaled by its own max(|f_k|, |f_(k+1)|)."""
-    order = np.argsort(-depth, kind="stable")
+    """W_{eta,it}(ys) by recurrence.miller in a, from each node's depth (module docstring)."""
     # W underflows to 0 well before y = 4000 at |eta| <= 20, t <= 250 (e^{-y/2} y^20
     # alone is e^{-1834} there); the clip keeps larger y from overflowing the levels
-    yv = np.minimum(ys[order], 4000.0)
-    start = depth[order].astype(np.int64)
-    top = int(start[0])
-    # live[k] nodes have started at level k
-    live = np.searchsorted(-start, -np.arange(top + 2), side="right").tolist()
+    yv = np.minimum(ys, 4000.0)
     m = max(0, math.ceil(eta + 0.5))   # the first m with Re a + m >= 1
-    k = np.arange(top + 1, dtype=np.float64)
+    k = np.arange(int(depth.max()) + 1, dtype=np.float64)
     den = (k - 0.5 - eta) ** 2 + t * t     # (a+k-1)(a-b+k)
     lin, quad = k / den, k * (k + 1.0) / den
     shift = 2.0 * k - 2.0 * eta
-    weight = np.ones(top + 1)           # k! / (k-m)!, 0 below m
+    weight = np.ones(k.size)           # k! / (k-m)!, 0 below m
     for j in range(m):
         weight *= np.maximum(k - j, 0.0)
-    f = np.zeros(yv.size)      # f_k
-    f_up = np.zeros(yv.size)   # f_(k+1)
-    s = np.zeros(yv.size)
-    for level in range(top, 0, -1):
-        n = live[level]
-        f[live[level + 1]:n] = 1.0
-        if level >= m:
-            s[:n] += weight[level] * f[:n]
-        if level % 16 == 0:
-            scale = 1.0 / np.maximum(np.abs(f[:n]), np.abs(f_up[:n]))
-            for a in (f, f_up, s):
-                a[:n] *= scale
-        f_up[:n] = (yv[:n] + shift[level]) * (lin[level] * f[:n]) - quad[level] * f_up[:n]
-        f, f_up = f_up, f
-    s += weight[0] * f
+    ratio = miller(yv, depth, lambda n, y, f, f_up: (y + shift[n]) * (lin[n] * f) - quad[n] * f_up,
+                   weight)
     # |(a)_m|^2 <= 62900^21 ~ 6e100 at |eta| <= 20, t <= 250
-    ratio = f / s * math.prod((j + 0.5 - eta) ** 2 + t * t for j in range(m))
+    ratio *= math.prod((j + 0.5 - eta) ** 2 + t * t for j in range(m))
     with np.errstate(divide="ignore"):
-        ws = np.sign(ratio) * np.exp(-0.5 * yv + (eta - m) * np.log(yv) + np.log(np.abs(ratio)))
-    out = np.empty_like(ws)
-    out[order] = ws
-    return out
+        return np.sign(ratio) * np.exp(-0.5 * yv + (eta - m) * np.log(yv) + np.log(np.abs(ratio)))
 
 
 def _w_nodes(eta: float, mu: complex, ys: np.ndarray, envelope: bool = False) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 from theta_shift.specfun import besselj
 from theta_shift.specfun.besselj import bessel_J_imag_order
+from theta_shift.specfun.gammafun import log_gamma
 
 mp.mp.dps = 30
 
@@ -28,8 +29,8 @@ class TestBesselJ:
                 bessel_J_imag_order(1.0, np.array([[3.0, 20.0], [bad, 50.0]]))
 
     def test_array_equals_elementwise_across_branches(self, rng):
-        # series (q <= 14), Hankel (12 t^2 <= q) and mpmath (14 < q < 12 t^2)
-        # interleaved in one 2-D array
+        # Miller (q <= 14, and 14 < q < 12 t^2 at |t| <= 6) and Hankel
+        # (12 t^2 <= q) interleaved in one 2-D array
         for t in (0.0, 0.5, -1.1, 3.0):
             q = rng.permutation(np.concatenate([
                 np.geomspace(1e-3, 14.0, 25), np.linspace(14.01, 12 * t * t, 6)[1:-1],
@@ -86,13 +87,50 @@ class TestBesselJ:
         assert worst[6.0] <= 2e-10
 
     def test_miller_rescales_below_the_band(self):
-        # at q = 1e-8 the recurrence grows by ~1e300 from its start at level 32,
-        # past double range without the rescaling; the series is accurate there
-        q = np.array([1e-8, 1e-6, 1e-3, 0.5, 5.0])
-        for t in (0.0, 0.5, -3.0):
+        # Miller serves q <= 14 at every t; from q = 0.5 on it starts above level 16
+        # and rescales.  The leading factor (q/2)^nu / Gamma(nu + 1) is divided out on
+        # both sides: the rounding of its phase 2t log(q/2), common to every route,
+        # reaches 1.5e-14 at t = 3 and 3.9e-13 at t = 50.  Measured worst 1.1e-15
+        q = np.array([1e-8, 1e-6, 1e-3, 0.5, 5.0, 14.0])
+        for t in (0.0, 0.5, -3.0, 10.0, 50.0):
+            nu = 2j * t
+            got = besselj._miller(t, q) / np.exp(nu * np.log(q / 2.0) - log_gamma(nu + 1.0))
+            with mp.workdps(40):
+                mu = 2j * mp.mpf(t)
+                ref = np.array([complex(mp.besselj(mu, v) * mp.gamma(1 + mu) / (mp.mpf(v) / 2) ** mu)
+                                for v in q])
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), t
+
+    def test_depth_covers_convergence_below_the_band(self, monkeypatch):
+        # N(q) / 1.2 levels already reach a run four times as deep, so N(q) is at
+        # least 1.2 times the smallest depth that does, as for Whittaker's Miller
+        # depth.  The gap is measured against max(|J_nu|, |J_(nu+1)|), since near a
+        # zero of J_nu both runs round at a few 1e-15 of |J_nu|, and it is bounded
+        # at 1.5e-15: from t = 1 to 6 the runs from 3N and 4N already differ by up to
+        # 1.2e-15 by rounding alone.  Measured: N/1.2 within 1.05e-15, N/1.5 off by
+        # up to 5.1e-13
+        q = np.geomspace(2.1e-8, 14.0, 60)
+        depth = besselj._depth
+        for t in (0.0, 0.01, 0.3, 1.0, 2.0, 3.0, 6.0, 10.0, 50.0):
+            with mp.workdps(20):
+                amp = np.array([float(max(abs(mp.besselj(2j * t + n, v)) for n in (0, 1)))
+                                for v in q])
+            monkeypatch.setattr(besselj, "_depth", lambda q: 4 * depth(q))
+            ref = besselj._miller(t, q)
+            monkeypatch.setattr(besselj, "_depth", lambda q: np.floor(depth(q) / 1.2))
             got = besselj._miller(t, q)
-            ref = besselj._series_double(t, q)
-            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+            assert np.all(np.abs(got - ref) <= 1.5e-15 * amp), t
+
+    def test_mpmath_never_below_fourteen(self, monkeypatch):
+        # at |t| > 6 mpmath serves the band 14 < q < 12 t^2, and Miller every q <= 14
+        seen = []
+        boosted = besselj._series_boosted
+        monkeypatch.setattr(besselj, "_series_boosted",
+                            lambda t, q: seen.append(q) or boosted(t, q))
+        q = np.concatenate([np.geomspace(1e-8, 14.0, 25), [14.5, 30.0]])
+        for t in (6.5, -7.0, 10.0, 50.0):
+            assert np.all(np.isfinite(bessel_J_imag_order(t, q)))
+        assert sorted(set(seen)) == [14.5, 30.0]
 
     def test_conjugate_symmetry_random(self, rng):
         # J_{-2it}(q) = conj(J_{2it}(q)), termwise in the series

@@ -160,6 +160,25 @@ class TestNormIdentity:
         assert [(tail.size, tail.min() > 2.0 * t) for tail, t in zip(millers, ts)] == [
             (960, True)] * 6   # one Miller call per tail
 
+    @pytest.mark.parametrize("eta, bound", [(1.25, 3e-13), (-1.25, 3e-13), (2.25, 3e-13),
+                                            (-2.25, 3e-13), (4.25, 3e-13), (-4.25, 3e-12)])
+    def test_envelope_certified_nodes_against_mpmath(self, eta, bound):
+        # a node the envelope rule certifies may sit near a zero of W, so its error
+        # is taken against the largest 40-digit |W| in a +-10% y-window: the nodes
+        # are a grid of ratio 1.1 over the head's [0.05, 2t], each window a node and
+        # its two neighbours.  Measured worst 1.05e-13 (eta = -2.25, t = 2); at
+        # eta = -4.25, 2.1e-12 at t = 2, y = 3.64, a node the pointwise rule also
+        # certifies, within the series' 4.1e-12 relative
+        for t in (1.0, 2.0, 5.0, 10.0):
+            ys = np.geomspace(0.05, 2.0 * t, round(math.log(40.0 * t) / math.log(1.1)) + 1)
+            with mp.workdps(40):
+                ref = np.array([float(mp.re(mp.whitw(eta, 1j * t, y))) for y in ys])
+            ws, certified = whittaker._series(eta, -t * t, ys, envelope=True)
+            window = np.maximum.reduce([np.abs(ref[:-2]), np.abs(ref[1:-1]), np.abs(ref[2:])])
+            inner = certified[1:-1]
+            assert inner.sum() >= 0.9 * inner.size
+            assert np.all(np.abs(ws - ref)[1:-1][inner] <= bound * window[inner]), t
+
 
 class TestUniformRatio:
     def test_matches_scalar(self):
