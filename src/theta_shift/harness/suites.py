@@ -248,7 +248,8 @@ def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
     # an infinite sup makes its drift inf or nan, which fails the comparison
     drift_l = abs(sups_large[2] - sups_large[1]) / sups_large[1]
     drift_s = abs(sups_small[2] - sups_small[1]) / sups_small[1]
-    spots = [(0.5, 2.0, 1.5), (-0.5, 2.0, 1.5), (1.5, 0.7, 2.0), (-1.5, 1.2, 1.0)]
+    spots = [(0.5, 2.0, 1.5), (-0.5, 2.0, 1.5), (1.5, 0.7, 2.0), (-1.5, 1.2, 1.0),
+             (-0.5, 0.05, 0.5), (-1.5, 0.05, 0.5)]
     worst_dual = 0.0
     for kap, om, T in spots:
         a, b = g_kappa(kap, om, T), g_kappa_t(kap, om, T)

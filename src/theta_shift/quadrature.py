@@ -5,6 +5,8 @@ the library goes through `_panel_integrals`.  `gl_panels` sums the
 panels for smooth-by-construction integrands; `alternating_tail`
 (pi-length panels plus iterated averaging of the partial sums) serves
 integrands that decay only through unit-frequency oscillation.
+`panel_nodes` and `gl_cumulative` serve a caller that needs the
+integral's running value at each node, as integration by parts does.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 _GL_CACHE: dict = {}
+_CUM_CACHE: dict = {}
 
 
 def gl_nodes(n: int):
@@ -22,20 +25,41 @@ def gl_nodes(n: int):
     return _GL_CACHE[n]
 
 
+def gl_cumulative(n: int) -> np.ndarray:
+    """The n x n matrix C with (C @ f)[i] = int_{-1}^{x_i} p, where p is
+    the degree n - 1 interpolant of f at the n Gauss-Legendre nodes x_i;
+    exact for polynomial f of degree below n.  Read-only and cached."""
+    if n not in _CUM_CACHE:
+        x, w = gl_nodes(n)
+        vander = np.polynomial.legendre.legvander(x, n - 1)
+        # Legendre coefficients of each nodal basis function, by the rule itself
+        coef = (np.arange(n) + 0.5)[:, None] * vander.T * w
+        cum = np.polynomial.legendre.legvander(x, n) @ np.polynomial.legendre.legint(coef, lbnd=-1)
+        cum.setflags(write=False)
+        _CUM_CACHE[n] = cum
+    return _CUM_CACHE[n]
+
+
+def panel_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes of each consecutive edge pair, one row
+    per panel, and each panel's half-width."""
+    edges = np.asarray(edges, dtype=np.float64)
+    x, _ = gl_nodes(n)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    return mids[:, None] + halfs[:, None] * x[None, :], halfs
+
+
 def _panel_integrals(f, edges, n: int) -> np.ndarray:
     """n-point Gauss-Legendre integral of f on each consecutive edge pair.
 
     f is called once, on every node of every panel; it may be real or
     complex valued.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    x, w = gl_nodes(n)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(pts))
-    vals = vals.astype(np.result_type(vals, np.float64), copy=False).reshape(len(mids), n)
-    return halfs * (vals @ w)
+    pts, halfs = panel_nodes(edges, n)
+    vals = np.asarray(f(pts.ravel()))
+    vals = vals.astype(np.result_type(vals, np.float64), copy=False).reshape(pts.shape)
+    return halfs * (vals @ gl_nodes(n)[1])
 
 
 def gl_panels(f, edges, n: int = 24):

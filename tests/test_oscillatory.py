@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from theta_shift.specfun import oscillatory
 from theta_shift.specfun.oscillatory import (
     I_kappa,
     I_kappa_contour_check,
+    _j_moment_head,
     g_kappa,
     g_kappa_t,
 )
@@ -32,10 +34,19 @@ class TestIKappa:
         assert a == pytest.approx(b, rel=1e-5)
 
     @pytest.mark.parametrize("kap,om,t", [(1.5, 3.0, 0.7), (-0.5, 2.0, 1.0),
-                                          (-1.2, 0.8, 0.5)])
+                                          (-1.2, 0.8, 0.5), (-1.9, 0.01, 0.5),
+                                          (-0.5, 0.05, 0.5)])
     def test_contour_oracle_more(self, kap, om, t):
+        # below omega = 1 at kappa <= 0 the tail's integrand is steep, not
+        # oscillatory: pi-panels from q = omega miss by 7.6 times the value at
+        # (-1.9, 0.01, 0.5) and by 26% at (-0.5, 0.05, 0.5)
         assert I_kappa(kap, om, t) == pytest.approx(
             I_kappa_contour_check(kap, om, t), rel=1e-6)
+
+    def test_moment_series_raises_when_unconverged(self):
+        # q0 is at most 0.25 in use; at q0 = 100 the 62nd term is still 6e38
+        with pytest.raises(RuntimeError, match=r"t=1, q0=100 unconverged after 62 terms"):
+            _j_moment_head(0.5, 1.0, 100.0)
 
     def test_continuity_in_kappa(self):
         mid = I_kappa(0.5, 2.0, 1.0)
@@ -60,10 +71,31 @@ class TestGKappa:
 
     @pytest.mark.parametrize("kap,om,T", [(0.5, 2.0, 1.5), (-0.5, 2.0, 1.5),
                                           (1.3, 0.7, 2.0), (-1.3, 1.2, 1.0),
-                                          (0.5, 0.3, 1.0)])
+                                          (0.5, 0.3, 1.0), (-0.5, 0.05, 0.5),
+                                          (-1.5, 0.05, 0.5), (1.6, 1e-3, 40.0),
+                                          (-1.9, 1e-3, 2.0)])
     def test_dual_routes(self, kap, om, T):
-        # 5e-9 is about 58 times the worst gap measured over c7's spots, 8.6e-11
-        assert g_kappa(kap, om, T) == pytest.approx(g_kappa_t(kap, om, T), rel=5e-9)
+        # 5e-9 is about 58 times the worst gap measured over c7's spots, 8.6e-11.
+        # B's head is integrated by parts with its boundary term at xi = 0 for
+        # kappa > 0 and at the head's end for kappa <= 0; at the last two spots
+        # the other end misses by 4.1e-5 and 6.1e-8.  G is 4e-5 and 1.5e-5
+        # there, so approx's default abs of 1e-12 would forgive the second
+        assert g_kappa(kap, om, T) == pytest.approx(g_kappa_t(kap, om, T), rel=5e-9, abs=0)
+
+    @pytest.mark.parametrize("kap", [0.5, -0.5])
+    def test_one_head_point_of_the_incomplete_gamma(self, kap, monkeypatch):
+        sizes = []
+        real = oscillatory.im_upper_gamma_imag_axis
+
+        def spy(a, z):
+            sizes.append(np.size(z))
+            return real(a, z)
+
+        monkeypatch.setattr(oscillatory, "im_upper_gamma_imag_axis", spy)
+        g_kappa(kap, 3.0, 20.0)
+        # beside the one head point, the tails' batches of 40 pi-panels x 16 nodes
+        assert sizes.count(1) == 1
+        assert set(sizes) == {1, 640}
 
     def test_dual_route_larger_parameters(self):
         # a heavier spot: the xi-route at moderate omega against the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
-from theta_shift.quadrature import alternating_tail, gl_panels
+from theta_shift.quadrature import alternating_tail, gl_cumulative, gl_nodes, gl_panels
 
 
 @pytest.mark.parametrize("v0", [0.5, 2.0, 7.3, 40.0])
@@ -45,3 +45,15 @@ def test_panels_real_integrand_returns_python_float():
     val = gl_panels(np.sin, np.linspace(0.0, math.pi, 5))
     assert type(val) is float
     assert val == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_cumulative_matrix_integrates_polynomials_exactly(n):
+    # int_{-1}^{x_i} s^k ds at every node, for each degree the interpolant carries
+    x, w = gl_nodes(n)
+    cum = gl_cumulative(n)
+    for k in range(n):
+        exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.max(np.abs(cum @ x**k - exact)) <= 4e-15
+    assert gl_cumulative(n) is cum
+    assert not cum.flags.writeable
