@@ -7,14 +7,28 @@ complex arithmetic; identity checks downstream use tolerance
 twisted multiplicativity relations, sums each factor directly, and
 agrees with the naive sum to rounding.
 
-A batch of Salie sums at one modulus (`salie_values`) goes through one
-length-c FFT instead.  The weight psi(d) = conj(chi(d)) (d/c) is a
-character mod c, so substituting d -> m d gives
-S(m, n) = psi(m) S(1, mn) for a unit m, and d -> -n^-1 d^-1 gives
-S(m, n) = psi(-1) conj(psi(n) S(1, mn)) for a unit n; the transform
-T(x) = S(1, x) for every x mod c costs O(c log c).  Pairs where neither
-entry is a unit are summed directly.  Against direct summation the
-batch agrees to 3e-14 sqrt(c) at every odd prime power c <= 5000.
+A batch of Salie sums at one modulus (`salie_values`) takes one of
+three routes, pair by pair:
+
+- Closed form, at odd c with chi = 1 on every unit of c, so that the
+  weight is the Jacobi symbol (d/c): S(m, n) = eps_c sqrt(c) (m/c) R(mn)
+  for a unit m, with R(r) = sum_{y^2 = r (c)} e(2y/c), and (n/c) in place
+  of (m/c) for a unit n (Salie 1932; Iwaniec, Topics in Classical
+  Automorphic Forms, Lemma 4.9).  One O(c) table of R, no inverses and
+  no FFT.  Against direct summation it agrees to 1.5e-14 sqrt(c) at
+  every odd prime power c <= 5000, and to 1e-14 sqrt(c) at odd
+  composite c.
+- Transform, at every other admissible c and chi.  The weight
+  psi(d) = conj(chi(d)) (d/c) is a character mod c, so substituting
+  d -> m d gives S(m, n) = psi(m) S(1, mn) for a unit m, and
+  d -> -n^-1 d^-1 gives S(m, n) = psi(-1) conj(psi(n) S(1, mn)) for a
+  unit n; the transform T(x) = S(1, x) for every x mod c is one length-c
+  FFT, O(c log c).  Against direct summation it agrees to 3e-14 sqrt(c)
+  at every odd prime power c <= 5000.
+- Direct summation, under either route, for the pairs where neither
+  entry is a unit.  Under the closed form that leaves only composite c,
+  such as (p, p) at p^a with a >= 2: S(0, 0) is the character sum of
+  (d/c), phi(c) at square c and 0 otherwise.
 
 Pure functions over immutable inputs; sweeps parallelize freely.
 """
@@ -31,9 +45,11 @@ from .arith import (
     DirichletCharacter,
     char_factor,
     divisor_count,
+    epsilon_d,
     factorize,
     inverse_mod,
     kronecker_array,
+    unit_mask,
     unit_table,
 )
 
@@ -88,9 +104,13 @@ def _direct_sum(m: int, n: int, c: int, chi: DirichletCharacter, ell: int | None
     return complex(np.sum(w * _roots(c)[_phase(m, n, c, units, invs)]))
 
 
-def _check_kloosterman_domain(c: int, ell: int, chi: DirichletCharacter) -> None:
+def _check_modulus(c: int) -> None:
     if c < 1:
         raise ValueError(f"modulus must be >= 1, got c={c}")
+
+
+def _check_kloosterman_domain(c: int, ell: int, chi: DirichletCharacter) -> None:
+    _check_modulus(c)
     if c % math.lcm(4, chi.modulus) != 0:
         raise ValueError(f"need lcm(4, N) | c; got c={c}, N={chi.modulus}")
     if ell % 2 == 0:
@@ -98,6 +118,7 @@ def _check_kloosterman_domain(c: int, ell: int, chi: DirichletCharacter) -> None
 
 
 def _check_salie_domain(c: int, chi: DirichletCharacter) -> None:
+    _check_modulus(c)
     if c % chi.modulus != 0:
         raise ValueError(f"need N | c; got c={c}, N={chi.modulus}")
     if c & -c == 2:   # v2(c) = 1
@@ -114,6 +135,7 @@ def _sqrt_bound(lead: float, m, n, c: int, level: int):
 def weil_bound(m, n, c: int, chi: DirichletCharacter):
     """4 tau(c) (m,n,c)^(1/2) c^(1/2) N^(1/2) with N the character modulus:
     a float for ints m, n, an array of their broadcast shape for int arrays."""
+    _check_modulus(c)
     return _sqrt_bound(4.0 * divisor_count(c), m, n, c, chi.modulus)
 
 
@@ -130,6 +152,7 @@ def salie_bound(m, n, c: int, chi: DirichletCharacter):
     even c only the trivial term-count bound is claimed.  m and n as in
     weil_bound.
     """
+    _check_modulus(c)
     if c % 2 == 1:
         return _sqrt_bound(divisor_count(c), m, n, c, chi.conductor)
     return _sqrt_bound(float(_phi(c)), m, n, 1, 1)   # phi(c), shaped like m and n
@@ -203,10 +226,42 @@ def kloosterman_grid(c: int, ell: int, chi: DirichletCharacter) -> np.ndarray:
 
 
 def salie_values(c: int, chi: DirichletCharacter, pairs: np.ndarray) -> np.ndarray:
-    """Salie sums at an array of (m, n) pairs for one modulus: pairs with a
-    unit entry from the transform T(x) = S(1, x) (see the module docstring),
-    the rest by direct summation."""
+    """Salie sums at an array of (m, n) pairs for one modulus: by Salie's
+    closed form where c is odd and chi is 1 on every unit of c, by the
+    length-c transform otherwise (see the module docstring)."""
     _check_salie_domain(c, chi)
+    if c % 2 == 1 and np.all(chi.values[unit_mask(chi.modulus)] == 1):
+        return _salie_jacobi(c, chi, pairs)
+    return _salie_transform(c, chi, pairs)
+
+
+def _salie_jacobi(c: int, chi: DirichletCharacter, pairs: np.ndarray) -> np.ndarray:
+    """Salie sums at odd c where chi is 1 on the units of c, so that the twist
+    is the Jacobi symbol (d/c): the closed form of the module docstring.
+
+    R(r) is real, as y and -y enter together.  The sum is symmetric under
+    d -> d^-1, so a unit n serves as well as a unit m.  Pairs where neither
+    entry is a unit, (0, 0) aside, are summed directly.
+    """
+    m, n = pairs[:, 0] % c, pairs[:, 1] % c
+    y = np.arange(c)
+    r = np.bincount(y * y % c, weights=np.cos(4 * np.pi * y / c), minlength=c)
+    unit = unit_mask(c)
+    m_unit, n_unit = unit[m], unit[n]
+    sym = kronecker_array(np.where(m_unit, m, n), c)
+    out = complex(epsilon_d(c)) * math.sqrt(c) * (sym * r[m * n % c])
+    zero = (m == 0) & (n == 0)
+    out[zero] = _phi(c) if math.isqrt(c) ** 2 == c else 0
+    rest = ~(m_unit | n_unit | zero)
+    if rest.any():
+        units, invs, w = _sum_table(c, chi)
+        out[rest] = _roots(c)[_phase(m[rest, None], n[rest, None], c, units, invs)] @ w
+    return out
+
+
+def _salie_transform(c: int, chi: DirichletCharacter, pairs: np.ndarray) -> np.ndarray:
+    """Salie sums at any admissible c and chi: pairs with a unit entry from
+    the transform T(x) = S(1, x), the rest by direct summation."""
     units, invs, w = _sum_table(c, chi)
     roots = _roots(c)
     psi = np.zeros(c, dtype=np.complex128)

@@ -75,11 +75,18 @@ class TestKloostermanNaive:
 
 @pytest.mark.parametrize("c", [0, -3, -4])
 def test_modulus_below_one_rejected(c):
-    # at c < 0 the unit table's square-and-multiply loop would never end
-    for evaluate in (lambda: kloosterman_naive(1, 1, c, 1, CHI4),
-                     lambda: kloosterman_factored(1, 1, c, 1, CHI4),
-                     lambda: salie_naive(1, 1, c, trivial_character(1))):
-        with pytest.raises(ValueError, match="modulus must be >= 1"):
+    # at c < 0 the unit table's square-and-multiply loop would never end; the
+    # bounds read 0.0 or -4.0 at even c and failed inside divisor_count otherwise
+    chi = trivial_character(1)
+    evaluations = [lambda: kloosterman_naive(1, 1, c, 1, CHI4),
+                   lambda: kloosterman_factored(1, 1, c, 1, CHI4),
+                   lambda: salie_naive(1, 1, c, chi),
+                   lambda: salie_values(c, chi, np.array([(1, 2)]))]
+    for bound in (expsums.weil_bound, expsums.salie_bound):
+        for m, n in ((1, 2), (np.array([1, 0]), np.array([2, 5]))):
+            evaluations.append(lambda bound=bound, m=m, n=n: bound(m, n, c, chi))
+    for evaluate in evaluations:
+        with pytest.raises(ValueError, match=f"modulus must be >= 1, got c={c}"):
             evaluate()
 
 
@@ -116,14 +123,17 @@ class TestSalie:
 
 
 class TestSalieTransformMatchesDirectSums:
-    """salie_values takes every pair with a unit entry from one length-c
-    transform; pointwise direct summation is the second route."""
+    """salie_values takes every pair with a unit entry from Salie's closed form
+    at odd c when chi is 1 on the units of c, and from one length-c transform
+    otherwise; pointwise direct summation is the second route.  The transform
+    stays the reference the closed form is held to, at the Jacobi twist too."""
 
     @staticmethod
     def _check(rng, c, chi):
         p = min(d for d in range(2, c + 1) if c % d == 0)
         pairs = np.array([(1, 0), (1, 1), (-1, c - 1), (0, 1), (p, 1), (p, -1), (0, 0),
-                          (p, p), (c, c), (p, 2 * p), *rng.integers(-3 * c, 3 * c, (12, 2))])
+                          (p, p), (c, c), (p, 2 * p), (1, p), (p, 0), (0, -p),
+                          *rng.integers(-3 * c, 3 * c, (12, 2))])
         branch = {"m" if math.gcd(int(m), c) == 1 else "n" if math.gcd(int(n), c) == 1
                   else "neither" for m, n in pairs}
         assert branch == {"m", "n", "neither"}
@@ -146,9 +156,47 @@ class TestSalieTransformMatchesDirectSums:
         (3996, trivial_character(1)),
         (3996, char_from_kronecker(12, 12)),
         (625, char_from_table(5, [0, 1, 1j, -1j, -1])),   # order 4: chi(2) = i
+        (225, trivial_character(1)),        # odd composite squares: S(0, 0) = phi(c)
+        (441, trivial_character(1)),
+        (1155, trivial_character(1)),       # 3 * 5 * 7 * 11
+        (1155, trivial_character(105)),     # principal mod N > 1: the closed form too
+        (1155, char_from_kronecker(5, 5)),  # a quadratic chi on a composite c: the transform
     ])
     def test_other_moduli_and_characters(self, rng, c, chi):
         self._check(rng, c, chi)
+
+    @pytest.mark.parametrize("c, chi", [(4999, trivial_character(1)),
+                                        (4999, trivial_character(4999)),
+                                        (3**7, trivial_character(3))])
+    def test_jacobi_batches_make_no_fft(self, monkeypatch, rng, c, chi):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        pairs = np.array([(0, 0), (1, 0), (0, 1), (5, 7), *rng.integers(-3 * c, 3 * c, (20, 2))])
+        with monkeypatch.context() as mp:
+            mp.setattr(np.fft, "ifft", refuse)
+            mp.setattr(np.fft, "fft", refuse)
+            if primes_upto(c)[-1] == c:   # every pair but (0, 0) has a unit entry: no inverses
+                mp.setattr(expsums, "unit_table", refuse)
+            got = salie_values(c, chi, pairs)
+        assert np.allclose(got, expsums._salie_transform(c, chi, pairs), rtol=0,
+                           atol=1e-12 * math.sqrt(c))
+
+    def test_transform_at_the_jacobi_twist(self, rng):
+        # every odd prime power <= 5000, at the structured pairs of suite c3
+        chi = trivial_character(1)
+        for p in (int(p) for p in primes_upto(5000) if p % 2 == 1):
+            for c in (p**a for a in range(1, 9) if p**a <= 5000):
+                pairs = np.array([(0, 0), (0, 1), (1, 0), (1, 1), (p, 1), (p, p), (c, c),
+                                  *rng.integers(-2 * c, 2 * c + 1, (5, 2))])
+                units, invs, w = expsums._sum_table(c, chi)
+                m, n = pairs[:, 0] % c, pairs[:, 1] % c
+                direct = expsums._roots(c)[expsums._phase(m[:, None], n[:, None], c,
+                                                          units, invs)] @ w
+                transform = expsums._salie_transform(c, chi, pairs)
+                assert np.max(np.abs(transform - direct)) <= 1e-12 * math.sqrt(c)
+                assert np.max(np.abs(salie_values(c, chi, pairs) - transform)) \
+                    <= 1e-12 * math.sqrt(c)
 
 
 class TestFactored:

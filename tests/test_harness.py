@@ -491,7 +491,7 @@ class TestCli:
         (["verify-mult"], "verify-mult",
          "2c97301747fce571d6489a7be9e587423547920181a1d57ace3216298f592a8e"),
         (["salie-bounds", "--pmax", "200"], "salie-bounds",
-         "5b83491fd802da987048a9de5e212aae4fe84a8319567f107d263abf04faf999"),
+         "34e6607aadc6c8c361256b52f75aebdc9240bd7eb9f06c2cea1aa4ac2556f124"),
         (["shifted-sum", "--form", "eta7", "--h", "1", "--xmin", "4", "--xmax", "512"],
          "shifted-sum", "41bd6b415a788ea97da91ee41f87a6dc77605cfa5de233eb4a20c5dcea73b335"),
         (["shifted-sum", "--form", "eta7", "--h", "7", "--xmin", "32", "--xmax", "4096"],
@@ -522,7 +522,9 @@ class TestCli:
         # fraction and Horner series, crossing over at z = 2: every row's G
         # and ratio matched the Lentz loop's CSV to 8.5e-15 relative; and again
         # for B's xi-head integrated by parts: G moved by at most 4.2e-15 and
-        # ratio by 4.2e-15 relative, kappa, omega and T not at all
+        # ratio by 4.2e-15 relative, kappa, omega and T not at all; salie-bounds
+        # again for Salie's closed form at the trivial character: the same 611
+        # rows, c, m, n and bound unchanged, abs and ratio within 1.8e-15 relative
         for _ in range(2):   # the second run reads the kept parser, eta7 form and sieve rows
             assert main(argv + ["--out", str(tmp_path)]) == 0
             assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
@@ -605,10 +607,12 @@ class TestOutOfRangeInput:
     def test_salie_bounds_unchanged(self, tmp_path):
         # recorded when the batch transform replaced the per-pair gather and the
         # row filter stopped keeping ratio-1/2 ties: every row kept matched the
-        # per-pair bound calls' CSV to 3.4e-15 relative
+        # per-pair bound calls' CSV to 3.4e-15 relative; re-recorded when Salie's
+        # closed form took the trivial-character batches: the same 2436 rows,
+        # c, m, n and bound unchanged, abs and ratio within 1.8e-15 relative
         assert main(["salie-bounds", "--pmax", "1000", "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "salie-bounds.csv").read_bytes()).hexdigest() == (
-            "f2492e4a40b92559a4447eea0d7149a5d9eff04c36a7c250a6ac5f2256b1a967")
+            "b4c58f7ae26be8446656314f55d708a4f572ccf707dbf3a9c2f1c77fff22d0c7")
 
     def test_bessel_beyond_boosted_limit_exits(self, tmp_path, capsys):
         rc = main(["specfun", "bessel", "--t", "100", "--q", "100000", "--out", str(tmp_path)])
