@@ -84,13 +84,16 @@ def _run_suite(args):
 
 
 def _expsum_eval(args):
+    if args.salie and (args.factored or args.ell is not None):
+        raise ValueError("--salie takes neither --factored nor --ell")
     chi = _character(args)
     if args.salie:
-        res = salie_naive(args.m, args.n, args.c, chi)
+        res, ell = salie_naive(args.m, args.n, args.c, chi), ""
     else:
+        ell = 1 if args.ell is None else args.ell
         fn = kloosterman_factored if args.factored else kloosterman_naive
-        res = fn(args.m, args.n, args.c, args.ell, chi)
-    rows = [(args.m, args.n, args.c, args.ell, chi.label,
+        res = fn(args.m, args.n, args.c, ell, chi)
+    rows = [(args.m, args.n, args.c, ell, chi.label,
              res.value.real, res.value.imag, res.bound, res.ratio)]
     lines = [f"value = {res.value:.12g}, bound = {res.bound:.6g}, ratio = {res.ratio:.6f}"]
     return ["m", "n", "c", "ell", "char", "re", "im", "bound", "ratio"], rows, lines, True
@@ -144,8 +147,7 @@ def _shifted_sum(args):
         raise ValueError(f"no power of two lies in [--xmin, --xmax] = "
                          f"[{args.xmin:g}, {args.xmax:g}]")
     f = _load(args.form)
-    rows = suites.shifted_sum_experiment(
-        f, args.h, x_lo_exp=lo, x_hi_exp=hi, one_sided=args.one_sided)
+    rows = suites.shifted_sum_experiment(f, args.h, x_lo_exp=lo, x_hi_exp=hi)
     lines = [f"X={x:g}: S={s:.8f} S/X={sx:.8f}" for x, s, sx in rows]
     return ["X", "S", "S_over_X"], rows, lines, True
 
@@ -182,7 +184,7 @@ COMMANDS = {
         ("--m", dict(type=int, required=True)),
         ("--n", dict(type=int, required=True)),
         ("--c", dict(type=int, required=True)),
-        ("--ell", dict(type=int, default=1)),
+        ("--ell", dict(type=int, help="Kloosterman sums only; default 1")),
         ("--char-kronecker", dict(type=int, help="discriminant D for the character (D/.)")),
         ("--char-mod", dict(type=int, default=4)),
         ("--salie", dict(action="store_true", help="evaluate the (d/c)-twisted variant")),
@@ -225,8 +227,6 @@ COMMANDS = {
         ("--h", dict(type=int, required=True)),
         ("--xmax", dict(type=_finite, default=4096.0)),
         ("--xmin", dict(type=_finite, default=32.0)),
-        ("--one-sided", dict(action="store_true",
-                             help="count n >= 0 once instead of the square-counting weight")),
     ), _shifted_sum),
     "fit": ("exponent fit of a shifted-sum CSV", (), (
         ("--in", dict(dest="infile", required=True)),

@@ -151,6 +151,16 @@ class TestCli:
                    "--char-mod", "7", "--salie", "--out", str(tmp_path)])
         assert rc == 0
         assert "ratio" in capsys.readouterr().out
+        _, header, rows = read_csv(tmp_path / "expsum-eval.csv")
+        assert rows[0][header.index("ell")] == ""
+
+    @pytest.mark.parametrize("extra", [["--factored"], ["--ell", "3"], ["--ell", "1"]])
+    def test_salie_eval_refuses_kloosterman_options(self, tmp_path, capsys, extra):
+        rc = main(["expsum", "eval", "--m", "1", "--n", "2", "--c", "9", "--char-mod", "1",
+                   "--salie", *extra, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --salie takes neither --factored nor --ell\n"
+        assert not (tmp_path / "expsum-eval.csv").exists()
 
     def test_verify_mult_passes(self, tmp_path, capsys):
         rc = main(["verify-mult", "--trials", "25", "--seed", "7",
@@ -271,6 +281,14 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "shifted-sum.csv").exists()
+
+    def test_shifted_sum_one_sided_option_gone(self, tmp_path, capsys):
+        # the one-sided sum is (S + A(h))/2: no option computes it
+        with pytest.raises(SystemExit) as exc:
+            main(["shifted-sum", "--form", "eta7", "--h", "1", "--one-sided",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --one-sided" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pmax", ["-5", "0", "1"])
     def test_salie_bounds_pmax_below_two_rejected(self, tmp_path, capsys, pmax):

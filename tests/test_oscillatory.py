@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from theta_shift.harness.suites import GATES
 from theta_shift.specfun import oscillatory
 from theta_shift.specfun.oscillatory import (
     I_kappa,
@@ -75,12 +76,12 @@ class TestGKappa:
                                           (-1.5, 0.05, 0.5), (1.6, 1e-3, 40.0),
                                           (-1.9, 1e-3, 2.0)])
     def test_dual_routes(self, kap, om, T):
-        # 5e-9 is about 58 times the worst gap measured over c7's spots, 8.6e-11.
+        # c7's gate is about 58 times the worst gap measured over its spots, 8.6e-11.
         # B's head is integrated by parts with its boundary term at xi = 0 for
         # kappa > 0 and at the head's end for kappa <= 0; at the last two spots
         # the other end misses by 4.1e-5 and 6.1e-8.  G is 4e-5 and 1.5e-5
         # there, so approx's default abs of 1e-12 would forgive the second
-        assert g_kappa(kap, om, T) == pytest.approx(g_kappa_t(kap, om, T), rel=5e-9, abs=0)
+        assert g_kappa(kap, om, T) == pytest.approx(g_kappa_t(kap, om, T), rel=GATES["c7"], abs=0)
 
     @pytest.mark.parametrize("kap", [0.5, -0.5])
     def test_one_head_point_of_the_incomplete_gamma(self, kap, monkeypatch):
@@ -102,7 +103,7 @@ class TestGKappa:
         # definitional t-quadrature
         a = g_kappa(0.5, 12.0, 4.0)
         b = g_kappa_t(0.5, 12.0, 4.0)
-        assert a == pytest.approx(b, rel=5e-9)
+        assert a == pytest.approx(b, rel=GATES["c7"])
 
     def test_large_omega_ratio_bounded(self):
         for kap in (0.5, -0.5):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from theta_shift.arith import trivial_character
+from theta_shift.harness.suites import GATES
 from theta_shift.modforms.forms import CuspForm
 from theta_shift.modforms.residual import (
     remark_closed_form,
@@ -31,12 +32,6 @@ class TestShiftedSum:
         s = shifted_sum(f, 1, [3.0])
         manual = f.A(1) + 2 * (f.A(2) + f.A(5) + f.A(10))
         assert s[0] == pytest.approx(manual)
-
-    def test_one_sided_halves_wings(self, eta7_small):
-        f = eta7_small
-        both = shifted_sum(f, 1, [40.0])[0]
-        one = shifted_sum(f, 1, [40.0], one_sided=True)[0]
-        assert both - one == pytest.approx(one - f.A(1))
 
     def test_incremental_equals_scan(self, eta7_small):
         f = eta7_small
@@ -162,13 +157,15 @@ class TestRemarkValue:
         cf = remark_closed_form(5)
         assert cf == pytest.approx(-3.0 / (64 * math.pi**2), rel=1e-14)
         assert cf == pytest.approx(-4.7494e-3, rel=1e-4)
-        assert remark_inner_product(5) == pytest.approx(cf, rel=1e-10, abs=0)
+        assert remark_inner_product(5) == pytest.approx(cf, rel=GATES["c9"], abs=0)
 
     def test_k9_value(self):
-        assert remark_inner_product(9) == pytest.approx(remark_closed_form(9), rel=1e-10, abs=0)
+        assert remark_inner_product(9) == pytest.approx(remark_closed_form(9),
+                                                        rel=GATES["c9"], abs=0)
 
     def test_k13_value(self):
-        assert remark_inner_product(13) == pytest.approx(remark_closed_form(13), rel=1e-10, abs=0)
+        assert remark_inner_product(13) == pytest.approx(remark_closed_form(13),
+                                                         rel=GATES["c9"], abs=0)
 
     def test_k5_solves_no_ode(self):
         # W_{9/4,1/4} is one terminating 1F1 term, certified at every node

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from theta_shift.harness.suites import GATES
 from theta_shift.modforms.theta import (
     random_gamma0_matrix,
     theta_series,
@@ -39,7 +40,7 @@ class TestMultiplier:
         for _ in range(100):
             g = random_gamma0_matrix(rng, max_entry=50)
             worst = max(worst, theta_transform_residual(g, 0.3 + 1.1j))
-        assert worst <= 1e-8
+        assert worst <= GATES["c10"]
 
     def test_cocycle_through_products(self, rng):
         # residual stability under composition: gamma1 * gamma2 stays in the
@@ -49,9 +50,9 @@ class TestMultiplier:
             g2 = random_gamma0_matrix(rng, max_entry=12)
             a = (g1[0] * g2[0] + g1[1] * g2[2], g1[0] * g2[1] + g1[1] * g2[3],
                  g1[2] * g2[0] + g1[3] * g2[2], g1[2] * g2[1] + g1[3] * g2[3])
-            assert theta_transform_residual(a, 0.25 + 1.3j) < 1e-8
+            assert theta_transform_residual(a, 0.25 + 1.3j) < GATES["c10"]
 
     def test_small_imaginary_part(self):
         # slower series convergence, same identity
         g = (1, 0, 4, 1)
-        assert theta_transform_residual(g, 0.02 + 0.08j) < 1e-8
+        assert theta_transform_residual(g, 0.02 + 0.08j) < GATES["c10"]
