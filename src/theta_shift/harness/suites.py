@@ -76,7 +76,11 @@ def _check_trials(trials: int) -> None:
 
 
 def _report(header, rows, *checks):
-    """The suite tuple for (passed, text) checks: one PASS/FAIL line each, ok iff all pass."""
+    """The suite tuple for (passed, text) checks: one PASS/FAIL line each, ok iff all pass.
+
+    Every worst, sup or floor a check compares is one np.max (np.min) over all
+    its values, which propagates NaN: a NaN from any route fails its check.
+    """
     lines = [f"{'PASS' if passed else 'FAIL'} {text}" for passed, text in checks]
     return header, rows, lines, all(passed for passed, _ in checks)
 
@@ -105,7 +109,7 @@ def verify_mult_suite(seed: int = 7, trials: int = 200, max_c: int = 10_000):
                 dev, dev / (GATES["c1"] * _phi(c)))
 
     rows = [one(i) for i in range(trials)]
-    worst = max(r[8] for r in rows)
+    worst = np.max([r[8] for r in rows])
     return _report(["m", "n", "c", "ell", "char", "re", "im", "deviation", "budget_used"], rows,
                    (worst <= 1.0, f"twisted multiplicativity: factored == naive on {trials} "
                     f"random tuples (c <= {max_c}); max deviation {worst:.3e} of the "
@@ -122,14 +126,11 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
         raise ValueError(f"need exhaustive_max >= {first}, the least modulus with a grid for "
                          f"every character, got {exhaustive_max}")
     rows = []
-    worst_ex = 0.0
     for chi in chars:
         step = math.lcm(4, chi.modulus)
-        for c in range(step, exhaustive_max + 1, step):
-            for ell in (1, 3):
-                r = weil_ratio_grid(c, ell, chi)
-                rows.append(("exhaustive", c, ell, chi.label, r))
-                worst_ex = max(worst_ex, r)
+        rows.extend(("exhaustive", c, ell, chi.label, weil_ratio_grid(c, ell, chi))
+                    for c in range(step, exhaustive_max + 1, step) for ell in (1, 3))
+    worst_ex = np.max([r[4] for r in rows])
 
     def one(i):
         rng = item_rng(seed, i)
@@ -139,7 +140,7 @@ def weil_sweep_suite(seed: int = 11, trials: int = 1000, max_c: int = 4096,
 
     rnd = [one(i) for i in range(trials)]
     rows.extend(rnd)
-    worst_rnd = max(r[4] for r in rnd)
+    worst_rnd = np.max([r[4] for r in rnd])
     return _report(["kind", "c", "ell", "char", "ratio"], rows,
                    (worst_ex <= 1.0, f"square-root cancellation bound, exhaustive sweep c <= "
                     f"{exhaustive_max}, all (m, n), ell in {{1,3}}: max ratio {worst_ex:.4f}"),
@@ -152,8 +153,7 @@ def salie_bound_suite(pmax: int = 5000, seed: int = 13):
     batch's value at its first random pair against direct summation."""
     if pmax < 3:   # the least odd prime
         raise ValueError(f"--pmax must be at least 3, got {pmax}")
-    rows = []
-    worst = worst_gap = 0.0
+    rows, sups, gaps = [], [], []
     idx = 0
     for p in (int(p) for p in primes_upto(pmax) if p % 2 == 1):
         chars = (trivial_character(1), char_from_kronecker(p if p % 4 == 1 else -p, p))
@@ -167,17 +167,18 @@ def salie_bound_suite(pmax: int = 5000, seed: int = 13):
                 values = salie_values(c, chi, pairs)
                 k = len(structured)   # the first random pair
                 naive = salie_naive(int(pairs[k, 0]), int(pairs[k, 1]), c, chi).value
-                worst_gap = max(worst_gap, abs(values[k] - naive) / (GATES["c3"] * _phi(c)))
+                gaps.append(abs(values[k] - naive) / (GATES["c3"] * _phi(c)))
                 sizes = np.abs(values)
                 bounds = salie_bound(pairs[:, 0], pairs[:, 1], c, chi)
                 ratios = sizes / bounds
-                worst = max(worst, ratios.max())
+                sups.append(ratios.max())
                 # many ratios are exactly 1/2 (|S| = sqrt(p) against the bound 2 sqrt(p),
                 # e.g. every unit pair at p = 3): the margin keeps such ties out
                 # whichever way they round
                 rows.extend((c, int(m), int(n), chi.label, a, b, r) for (m, n), a, b, r
                             in zip(pairs, sizes, bounds, ratios) if r > 0.5 + 1e-9)
             c *= p
+    worst, worst_gap = np.max(sups), np.max(gaps)
     return _report(["c", "m", "n", "char", "abs", "bound", "ratio"], rows,
                    (worst <= 1.0 + 1e-9, f"quadratic-twist prime-power bound, odd p^a <= {pmax}, "
                     f"trivial and quadratic characters: max ratio {worst:.4f}"),
@@ -193,7 +194,7 @@ def whittaker_norm_suite():
         for t in ts:
             q, cf = whittaker_l2_norm(eta, t), whittaker_norm_closed_form(eta, t)
             rows.append((eta, t, q, cf, _rel(q, cf)))
-    worst = max(r[4] for r in rows)
+    worst = np.max([r[4] for r in rows])
     return _report(["eta", "t", "quadrature", "closed_form", "rel_err"], rows,
                    (worst <= tol, f"Whittaker squared-norm identity at eta in {etas}, "
                     f"t in {ts}: max rel err {worst:.2e} (tol {tol:.0e})"))
@@ -204,17 +205,17 @@ def whittaker_ratio_suite():
     rows = []
     sups = {}
     for dbl in (1, 2):
-        sup = 0.0
+        peaks = []
         ts = np.geomspace(1.0, 40.0, 6 * dbl)
         fracs = np.linspace(0.02, 1.5, 12 * dbl)
         for eta in (1.25, -1.25):
             for t in ts:
                 r = whittaker_uniform_ratio_grid(eta, float(t), fracs * float(t))
-                sup = max(sup, float(np.max(r)))
+                peaks.append(np.max(r))
                 if dbl == 1:
                     rows.extend((eta, float(t), float(y), float(v))
                                 for y, v in zip(fracs * float(t), r))
-        sups[dbl] = sup
+        sups[dbl] = np.max(peaks)
     # an infinite sup makes the drift inf or nan, which fails the comparison
     drift = _rel(sups[2], sups[1])
     return _report(["eta", "t", "y", "ratio"], rows,
@@ -230,7 +231,7 @@ def whittaker_lower_suite():
     for eta in (1.25, -1.25):
         vals = [whittaker_lower_bound_check(eta, t, alpha) for t in ts]
         rows.extend((eta, t, v) for t, v in zip(ts, vals))
-        lo, hi = min(vals), max(vals)
+        lo, hi = np.min(vals), np.max(vals)
         spread = hi / lo if lo else math.inf
         checks.append((lo > 0 and spread < 10.0, f"tail-integral lower bound at eta={eta}: "
                        f"ratios in [{lo:.4f}, {hi:.4f}], spread x{spread:.2f} "
@@ -249,22 +250,23 @@ def oscillatory_map_suite(kappas=(0.5, -0.5), n_omega: int = 8, n_T: int = 6):
         grids = ((np.geomspace(1.0, 100.0, n_omega * dbl), np.geomspace(1.0, 50.0, n_T * dbl)),
                  (np.geomspace(1e-3, 1.0, max(4, n_omega // 2) * dbl),
                   np.geomspace(1.0, 50.0, max(3, n_T // 2) * dbl)))
-        sups[dbl] = [0.0, 0.0]
+        ratios = ([], [])
         for kap in kappas:
             for i, ((omegas, Ts), envelope) in enumerate(zip(grids, envelopes)):
                 for om in omegas:
                     for T in Ts:
                         g = g_kappa(kap, float(om), float(T))
                         r = abs(g) / envelope(om)
-                        sups[dbl][i] = max(sups[dbl][i], r)
+                        ratios[i].append(r)
                         if dbl == 1:
                             rows.append((kap, float(om), float(T), g, r))
+        sups[dbl] = [np.max(v) for v in ratios]
     # an infinite sup makes its drift inf or nan, which fails the comparison
     drift_l, drift_s = (_rel(sups[2][i], sups[1][i]) for i in (0, 1))
     spots = [(0.5, 2.0, 1.5), (-0.5, 2.0, 1.5), (1.5, 0.7, 2.0), (-1.5, 1.2, 1.0),
              (-0.5, 0.05, 0.5), (-1.5, 0.05, 0.5)]
     tol = GATES["c7"]
-    worst_dual = max(_rel(g_kappa(kap, om, T), g_kappa_t(kap, om, T)) for kap, om, T in spots)
+    worst_dual = np.max([_rel(g_kappa(kap, om, T), g_kappa_t(kap, om, T)) for kap, om, T in spots])
     return _report(["kappa", "omega", "T", "G", "ratio"], rows,
                    (drift_l < 0.10, f"oscillatory kernel t-average, omega >= 1: sup "
                     f"|G|/omega^(1/2) = {sups[1][0]:.4f}, doubled-grid drift {drift_l:.2%}"),
@@ -288,7 +290,7 @@ def mellin_suite():
         g2 = mellin_barnes_G(n1, n2, m, k, t, 0.7 * kappa / 2).real
         d = direct_G(n1, n2, m, k, t)
         rows.append((n1, n2, m, k, t, g1, d, _rel(g1, d), _rel(g2, g1)))
-    worst, worst_shift = (max(r[i] for r in rows) for i in (7, 8))
+    worst, worst_shift = np.max([r[7:] for r in rows], axis=0)
     return _report(["n1", "n2", "m", "k", "t", "contour", "direct", "rel_err", "shift_invariance"],
                    rows,
                    (worst <= tol, f"contour vs direct quadrature on {len(grid)} points "
@@ -307,16 +309,13 @@ def bessel_bound_suite():
     ts = [0.01, 0.1, 0.5, 1.0, 2.0, 3.0]
     qs = [1e-3, 0.05, 0.5, 1.0, 3.0, 10.0, 25.0, 60.0, 120.0]
     rows = []
-    c_abs = 0.0
-    c_diff = 0.0
     for t in ts:
         for q, J in zip(qs, bessel_J_imag_order(t, qs)):
             env = min(q ** -0.5, 1.0 + abs(math.log(q)))
             ra = abs(J) / (math.cosh(math.pi * t) * env)
             rd = 2.0 * abs(J.imag) / (abs(math.sinh(math.pi * t)) * env)
-            c_abs = max(c_abs, ra)
-            c_diff = max(c_diff, rd)
             rows.append((t, q, ra, rd))
+    c_abs, c_diff = np.max([r[2:] for r in rows], axis=0)
     return _report(["t", "q", "abs_constant", "diff_constant"], rows,
                    (c_abs <= 2.0 and c_diff <= 2.0, f"uniform J-envelopes: max |J| constant "
                     f"{c_abs:.3f}, max conjugate-difference constant {c_diff:.3f} "
@@ -332,7 +331,7 @@ def theta_suite(seed: int = 5, trials: int = 100):
         return (*g, theta_transform_residual(g, 0.3 + 1.1j))
 
     rows = [one(i) for i in range(trials)]
-    worst, tol = max(r[4] for r in rows), GATES["c10"]
+    worst, tol = np.max([r[4] for r in rows]), GATES["c10"]
     return _report(["a", "b", "c", "d", "residual"], rows,
                    (worst <= tol, f"weight-1/2 multiplier: {trials} random matrices, "
                     f"max residual {worst:.2e} (tol {tol:g})"))
@@ -348,7 +347,7 @@ def remark_suite(ks=(5, 9)):
         q = remark_inner_product(k)
         cf = remark_closed_form(k)
         rows.append((k, q, cf, _rel(q, cf)))
-    worst, tol = max(r[3] for r in rows), GATES["c9"]
+    worst, tol = np.max([r[3] for r in rows]), GATES["c9"]
     checks = [(worst <= tol, f"explicit inner-product value at k in {ks}: "
                f"worst rel err {worst:.2e} (tol {tol:g})")]
     if 5 in ks:

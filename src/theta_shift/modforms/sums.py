@@ -53,11 +53,19 @@ def shifted_sum_scan(f: CuspForm, h: int, X_max: float):
 
 
 def fit_exponent(xs, S, c: float) -> float:
-    """Least-squares slope of log|S(X) - c X| against log X."""
-    xs = np.asarray(xs, dtype=np.float64)
+    """Least-squares slope of log|S(X) - c X| against log X.
+
+    Raises ValueError on a non-finite X or S, naming the first such row.
+    """
+    xs, S = np.asarray(xs, dtype=np.float64), np.asarray(S)
     if len(xs) < 8:
         raise ValueError("need at least 8 rows for a stable exponent fit")
-    resid = np.abs(np.asarray(S) - c * xs)
+    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(S)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"the fit needs finite X and S: row {i + 1} of {len(xs)} has "
+                         f"X = {xs[i]:g}, S = {S[i]:g}")
+    resid = np.abs(S - c * xs)
     keep = resid > 1e-12
     if keep.sum() < 2:
         raise ValueError("degenerate grid: residuals vanish")

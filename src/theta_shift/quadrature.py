@@ -11,33 +11,33 @@ integral's running value at each node, as integration by parts does.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-_GL_CACHE: dict = {}
-_CUM_CACHE: dict = {}
 
-
+@functools.cache
 def gl_nodes(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    """The n Gauss-Legendre nodes and weights on [-1, 1].  Read-only and cached."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
+@functools.cache
 def gl_cumulative(n: int) -> np.ndarray:
     """The n x n matrix C with (C @ f)[i] = int_{-1}^{x_i} p, where p is
     the degree n - 1 interpolant of f at the n Gauss-Legendre nodes x_i;
     exact for polynomial f of degree below n.  Read-only and cached."""
-    if n not in _CUM_CACHE:
-        x, w = gl_nodes(n)
-        vander = np.polynomial.legendre.legvander(x, n - 1)
-        # Legendre coefficients of each nodal basis function, by the rule itself
-        coef = (np.arange(n) + 0.5)[:, None] * vander.T * w
-        cum = np.polynomial.legendre.legvander(x, n) @ np.polynomial.legendre.legint(coef, lbnd=-1)
-        cum.setflags(write=False)
-        _CUM_CACHE[n] = cum
-    return _CUM_CACHE[n]
+    x, w = gl_nodes(n)
+    vander = np.polynomial.legendre.legvander(x, n - 1)
+    # Legendre coefficients of each nodal basis function, by the rule itself
+    coef = (np.arange(n) + 0.5)[:, None] * vander.T * w
+    cum = np.polynomial.legendre.legvander(x, n) @ np.polynomial.legendre.legint(coef, lbnd=-1)
+    cum.setflags(write=False)
+    return cum
 
 
 def panel_nodes(edges, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,16 +6,18 @@ that drives the closed reduction of the Bessel-kernel integrals.
 Vectorized in z, with the nodes sorted by z so that each level of a
 backward evaluation works on a prefix counted by recurrence.levels:
 
-* below z = 2, the lower series by Horner, the a <= 0 range reached by
-  the upward recurrence; its terms peak near e^z, so the crossover keeps
-  the cancellation within one digit;
+* below z = 2, at a > 0 only, Gamma(a) less the lower series by Horner;
+  its terms peak near e^z, so the crossover keeps the cancellation within
+  one digit;
 * from z = 2, the continued fraction of DLMF 8.9.2 evaluated bottom up,
   each element from its own depth D(z) = ceil(6 + 200/z) (106 levels at
   z = 2, 7 from z = 200).
 
 Against 30-digit mpmath over z in [0.01, 3000] the result is within
 8e-15 relative at every a tried in (-2, 2), against 6e-11 for the Lentz
-loop with the crossover at z = 8 that it replaced.
+loop with the crossover at z = 8 that it replaced.  At a <= 0 the only
+caller, g_kappa, reads z >= sqrt(omega^2 + 16 (2T + 1)^2) >= 4, so below
+z = 2 a must be positive.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1
 
 from .recurrence import levels
 
@@ -75,12 +76,15 @@ def _upper_gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def upper_gamma_imag_axis(a: float, z) -> np.ndarray:
-    """Gamma(a, -i z) for real a in (-2, 2) and z > 0 (complex output)."""
+    """Gamma(a, -i z) for real a in (-2, 2) and z > 0, z >= 2 at a <= 0
+    (complex output)."""
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if np.any(z <= 0):
         raise ValueError("z must be positive")
     order = np.argsort(z, axis=None, kind="stable")
     zs = z.ravel()[order]
+    if a <= 0 and zs[0] < _CROSSOVER:
+        raise ValueError(f"at a = {a:g} <= 0, z must be at least {_CROSSOVER:g}, got {zs[0]:g}")
     x = -1j * zs
     cut = int(np.searchsorted(zs, _CROSSOVER))
     out = np.empty(z.size, dtype=np.complex128)
@@ -92,25 +96,18 @@ def upper_gamma_imag_axis(a: float, z) -> np.ndarray:
 
 
 def _upper_gamma_small(a: float, xl: np.ndarray) -> np.ndarray:
-    """Gamma(a, x) for |x| below the CF crossover, sorted descending, a in (-2, 2).
+    """Gamma(a, x) for |x| below the CF crossover, sorted descending, a in (0, 2).
 
-    Series for a > 0, upward recurrence below, with exp1 anchoring the
-    integer landings at a = 0 and a = -1.  Arguments within 2e-3 of a
-    nonpositive integer (but not equal to it) hit a cancellation sliver
-    and are delegated to mpmath.
+    Gamma(a) less the lower series; below a = 2e-3 the two cancel in a
+    sliver near the pole at 0, so such a is delegated to mpmath.
     """
-    if a == 0.0:
-        return exp1(xl)
-    near_int = abs(a - round(a)) < 2e-3 and round(a) <= 0 and a != round(a)
-    if near_int:
+    if a < 2e-3:
         import mpmath as mp
         return np.array(
             [complex(mp.gammainc(mp.mpf(a), complex(v), mp.inf)) for v in xl],
             dtype=np.complex128,
         )
-    if a > 0:
-        return math.gamma(a) - _lower_gamma_series(a, xl)
-    return (_upper_gamma_small(a + 1.0, xl) - np.exp(a * np.log(xl) - xl)) / a
+    return math.gamma(a) - _lower_gamma_series(a, xl)
 
 
 def im_upper_gamma_imag_axis(a: float, z) -> np.ndarray:

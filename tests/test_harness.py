@@ -612,6 +612,15 @@ class TestOutOfRangeInput:
         assert capsys.readouterr().err == (
             f"error: {path}: no column '{missing}' (columns: {', '.join(header)})\n")
 
+    def test_fit_names_a_nan_row(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        xs = 2.0 ** np.arange(5, 13)
+        write_csv(path, "shifted-sum", 0, ["X", "S"],
+                  [(x, np.nan if x == 256 else x ** 0.7) for x in xs])
+        assert main(["fit", "--in", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the fit needs finite X and S: row 4 of 8 has X = 256, S = nan\n")
+
     def test_eval_depends_on_residues_only(self, tmp_path):
         # 10^23 - 1 = 3 mod 4; at int64 the phase index overflowed
         got = {}

@@ -33,6 +33,13 @@ def test_light_module_leaves_ode_solver_unloaded(module):
     assert proc.stdout.strip() == "[]"
 
 
+def test_incgamma_leaves_scipy_unloaded():
+    # its series and continued fraction are numpy only
+    proc = _run("import sys, theta_shift.specfun.incgamma; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_whittaker_leaves_mpmath_unloaded():
     # mpmath is imported only inside the functions that call it, so loading the
     # Whittaker module (as every spectral-map set-up does) must not pull it in

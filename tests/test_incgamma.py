@@ -14,6 +14,7 @@ mp.mp.dps = 30
 @pytest.mark.parametrize("a", [-1.9, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 1.9])
 def test_against_reference(a):
     zs = np.array([0.05, 0.7, 3.0, 7.9, 8.1, 20.0, 150.0, 3000.0])
+    zs = zs if a > 0 else zs[zs >= 2.0]
     got = upper_gamma_imag_axis(a, zs)
     for z, g in zip(zs, got):
         ref = complex(mp.gammainc(mp.mpf(a), -1j * mp.mpf(z), mp.inf))
@@ -31,11 +32,12 @@ def test_continued_fraction_on_mixed_array(a):
         assert abs(g - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("a", [-1.9, -1.0, -0.9995, -0.5, 0.0, 0.5, 1.9])
+@pytest.mark.parametrize("a", [-1.9, -1.0, -0.9995, -0.5, 0.0, 1e-3, 0.5, 1.9])
 def test_array_equals_elementwise(a, rng):
-    # series, recurrence, exp1, the mpmath sliver and the fraction, each
-    # element to its own depth, shuffled into one 2-D array
-    z = rng.permutation(np.concatenate([np.geomspace(1e-3, 1.999, 13), [2.0],
+    # series, the mpmath sliver and the fraction, each element to its own
+    # depth, shuffled into one 2-D array; at a <= 0 from z = 2 only
+    below = np.geomspace(1e-3, 1.999, 13) if a > 0 else np.geomspace(4.0, 8.0, 13)
+    z = rng.permutation(np.concatenate([below, [2.0],
                                         np.geomspace(2.001, 5000.0, 26)])).reshape(5, 8)
     got = upper_gamma_imag_axis(a, z)
     assert got.shape == z.shape and got.dtype == np.complex128
@@ -81,3 +83,10 @@ def test_imag_part_is_tail_sine_integral():
 def test_rejects_nonpositive_z():
     with pytest.raises(ValueError):
         upper_gamma_imag_axis(0.5, np.array([0.0]))
+
+
+@pytest.mark.parametrize("a", [-1.9, -1.0, -1e-4, 0.0])
+def test_rejects_nonpositive_a_below_the_crossover(a):
+    # g_kappa reads z >= 4 at a <= 0, so the series side serves a > 0 only
+    with pytest.raises(ValueError, match="z must be at least 2"):
+        upper_gamma_imag_axis(a, np.array([5.0, 1.999, 40.0]))

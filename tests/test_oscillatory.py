@@ -98,6 +98,22 @@ class TestGKappa:
         assert sizes.count(1) == 1
         assert set(sizes) == {1, 640}
 
+    def test_incomplete_gamma_read_from_z_4_at_nonpositive_kappa(self, monkeypatch):
+        # v_c = sqrt(omega^2 + 16 (2T + 1)^2) >= 4: incgamma's a <= 0 range
+        # starts at its crossover z = 2
+        zmins = []
+        real = oscillatory.im_upper_gamma_imag_axis
+
+        def spy(a, z):
+            zmins.append(np.min(z))
+            return real(a, z)
+
+        monkeypatch.setattr(oscillatory, "im_upper_gamma_imag_axis", spy)
+        for kap, om, T in [(-0.5, 1e-3, 0.01), (0.0, 1e-3, 0.01), (-1.9, 0.05, 2.0),
+                           (-1.5, 3.0, 0.01), (-0.5, 50.0, 10.0)]:
+            g_kappa(kap, om, T)
+        assert min(zmins) >= 4.0
+
     def test_dual_route_larger_parameters(self):
         # a heavier spot: the xi-route at moderate omega against the
         # definitional t-quadrature

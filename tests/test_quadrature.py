@@ -55,5 +55,5 @@ def test_cumulative_matrix_integrates_polynomials_exactly(n):
     for k in range(n):
         exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         assert np.max(np.abs(cum @ x**k - exact)) <= 4e-15
-    assert gl_cumulative(n) is cum
-    assert not cum.flags.writeable
+    assert gl_cumulative(n) is cum and gl_nodes(n)[0] is x
+    assert not (cum.flags.writeable or x.flags.writeable or w.flags.writeable)

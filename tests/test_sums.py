@@ -67,6 +67,15 @@ class TestFitExponent:
         with pytest.raises(ValueError):
             fit_exponent(np.arange(1.0, 6.0), np.ones(5), 0.0)
 
+    @pytest.mark.parametrize("column", ["X", "S"])
+    def test_non_finite_row_refused(self, column):
+        # the residual mask used to drop such a row and fit the rest
+        xs = 2.0 ** np.arange(5, 13)
+        S = xs ** 0.7
+        (xs if column == "X" else S)[3] = np.nan
+        with pytest.raises(ValueError, match="row 4 of 8"):
+            fit_exponent(xs, S, 0.0)
+
     def test_exact_cancellation_skipped(self):
         xs = np.geomspace(10, 1e4, 12)
         S = 2 * xs
